@@ -16,7 +16,7 @@ historical ``benchmarks/test_bench_*.py`` files onto declarative
 * :mod:`~repro.bench.suites.clocktree` -- the HEX vs clock-tree scaling
   comparison (the title claim);
 * :mod:`~repro.bench.suites.batch` -- ``Engine.run_batch`` vs per-spec
-  execution on a same-grid sweep (the batching speedup gate);
+  execution on a same-grid sweep (the batching bit-identity check);
 * :mod:`~repro.bench.suites.obs` -- observability overhead: the disabled
   no-op guards, the campaign runner's <5% orchestration bar and the
   fully-instrumented slowdown (with its bit-identity check);

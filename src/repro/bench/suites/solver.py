@@ -693,7 +693,7 @@ def _check_dense512(results: Any, settings: BenchSettings) -> None:
     specs = [result.spec for result in results]
     # Re-measure both engines here (the harness-timed number only covers the
     # array workload): per-spec array time over the sweep vs the solver's
-    # batched planned path on one spec of the same shape.
+    # batched heap sweep on one spec of the same shape.
     start = time.perf_counter()
     array_results = get_array_engine().run_batch(specs)
     array_per_spec = (time.perf_counter() - start) / len(specs)

@@ -22,7 +22,7 @@ the records in deterministic task order.
 Serial execution additionally groups consecutive same-engine single-pulse
 tasks and dispatches each group through ``engine.run_batch``
 (:func:`execute_task_batch`), so same-grid sweep cells amortize topology
-construction and the solver's plan-compiled fast path.  Batching is purely a
+construction and the solver's compiled plan.  Batching is purely a
 wall-clock optimisation: the engine contract keeps batched results
 bit-identical to per-task execution, so canonical records -- and therefore
 the serial/parallel/resume equalities -- are unchanged.
@@ -155,7 +155,7 @@ def execute_task_batch(tasks: Sequence[RunTask]) -> List[RunRecord]:
 
     Dispatches the whole group through ``engine.run_batch`` (falling back to
     a per-spec loop for engines without one), so same-grid sweep cells share
-    topology construction and the solver's plan-compiled fast path.  The
+    topology construction and the solver's compiled plan.  The
     engine-level batching contract guarantees canonical records identical to
     per-task execution; only :attr:`RunRecord.wall_time_s` -- which the
     canonical form excludes -- differs, and is stamped as the group's
@@ -314,7 +314,7 @@ class CampaignRunner:
         Maximum number of consecutive same-engine single-pulse tasks the
         serial path hands to one ``engine.run_batch`` call (see
         :func:`execute_task_batch`); sweep cells on the same grid then share
-        topology construction and the solver fast path.  ``1`` disables
+        topology construction and the solver's compiled plan.  ``1`` disables
         batching and restores strict per-task execution through the
         module-level :func:`execute_task` hook (which tests monkeypatch).
         Records are persisted as each batch completes, so an interrupt loses

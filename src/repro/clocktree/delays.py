@@ -19,7 +19,12 @@ import numpy as np
 
 from repro.clocktree.htree import HTree
 
-__all__ = ["TreeDelayConfig", "sample_element_delays", "nominal_element_delays"]
+__all__ = [
+    "TreeDelayConfig",
+    "sample_element_delays",
+    "sample_delay_array",
+    "nominal_element_delays",
+]
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,24 @@ def sample_element_delays(
         uniform factor in ``[1 - v, 1 + v]``.
     """
     generator = rng if rng is not None else np.random.default_rng(seed)
+    children = [node for node in tree.nodes() if node.parent is not None]
+    wire_lengths = np.array([node.wire_length for node in children], dtype=float)
+    delays = sample_delay_array(wire_lengths, config, generator)
+    return dict(zip((node.index for node in children), delays.tolist()))
+
+
+def sample_delay_array(
+    wire_lengths: np.ndarray, config: TreeDelayConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Vectorized core of :func:`sample_element_delays`.
+
+    ``wire_lengths`` lists the tree edges in node-index order; the result is
+    their delays in the same order.  One ``uniform(size=2 m)`` call draws the
+    factors element by element, wire first, then buffer (``u[0::2]`` and
+    ``u[1::2]``) -- the same values, in the same generator order, as two
+    scalar draws per element.
+    """
     variation = config.relative_variation
-    delays: Dict[int, float] = {}
-    for node in tree.nodes():
-        if node.parent is None:
-            continue
-        nominal_wire = config.wire_delay_per_unit * node.wire_length
-        nominal_buffer = config.buffer_delay
-        wire = nominal_wire * float(generator.uniform(1.0 - variation, 1.0 + variation))
-        buffer = nominal_buffer * float(generator.uniform(1.0 - variation, 1.0 + variation))
-        delays[node.index] = wire + buffer
-    return delays
+    factors = rng.uniform(1.0 - variation, 1.0 + variation, size=2 * len(wire_lengths))
+    wire = config.wire_delay_per_unit * wire_lengths * factors[0::2]
+    return wire + config.buffer_delay * factors[1::2]

@@ -10,7 +10,13 @@ import numpy as np
 from repro.clocktree.delays import TreeDelayConfig, sample_element_delays
 from repro.clocktree.htree import HTree
 
-__all__ = ["sink_arrival_times", "TreeSkewReport", "tree_skew_report"]
+__all__ = [
+    "sink_arrival_times",
+    "TreeSkewReport",
+    "tree_skew_report",
+    "neighbor_pairs",
+    "max_neighbor_disjoint_path",
+]
 
 
 def sink_arrival_times(tree: HTree, element_delays: Dict[int, float]) -> Dict[int, float]:
@@ -57,7 +63,7 @@ class TreeSkewReport:
     nominal_depth: int
 
 
-def _neighbor_pairs(tree: HTree) -> List[Tuple[int, int]]:
+def neighbor_pairs(tree: HTree) -> List[Tuple[int, int]]:
     """Index pairs of physically adjacent sinks on the sink array."""
     grid = tree.sink_grid()
     pairs: List[Tuple[int, int]] = []
@@ -89,6 +95,11 @@ def _disjoint_path_length(tree: HTree, a: int, b: int) -> float:
     return length
 
 
+def max_neighbor_disjoint_path(tree: HTree, pairs: List[Tuple[int, int]]) -> float:
+    """The largest disjoint-path wire length over the given sink pairs."""
+    return max((_disjoint_path_length(tree, a, b) for a, b in pairs), default=0.0)
+
+
 def tree_skew_report(
     tree: HTree,
     config: TreeDelayConfig,
@@ -101,11 +112,11 @@ def tree_skew_report(
         element_delays = sample_element_delays(tree, config, rng=rng, seed=seed)
     arrivals = sink_arrival_times(tree, element_delays)
     values = np.array(list(arrivals.values()), dtype=float)
-    pairs = _neighbor_pairs(tree)
+    pairs = neighbor_pairs(tree)
     neighbor_skews = np.array(
         [abs(arrivals[a] - arrivals[b]) for a, b in pairs], dtype=float
     )
-    disjoint = max((_disjoint_path_length(tree, a, b) for a, b in pairs), default=0.0)
+    disjoint = max_neighbor_disjoint_path(tree, pairs)
     return TreeSkewReport(
         global_skew=float(values.max() - values.min()),
         max_neighbor_skew=float(neighbor_skews.max()) if neighbor_skews.size else 0.0,

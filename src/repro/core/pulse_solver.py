@@ -50,7 +50,6 @@ __all__ = [
     "PulseSolution",
     "SolverPlan",
     "solve_single_pulse",
-    "solve_single_pulse_planned",
     "solver_plan",
 ]
 
@@ -91,13 +90,11 @@ class PulseSolution:
         faulty sources carry ``nan``).
     work:
         Deterministic work counters of the sweep: ``heap_pushes`` (guards that
-        completed, i.e. candidates the *deduplicating* sweep pushes exactly
-        once each -- the reference sweep's redundant re-pushes are not
-        counted, so the number is identical across both solver paths),
-        ``frontier_advances`` (forwarding nodes finalized) and
-        ``messages_delivered`` (trigger arrivals that landed, including
-        Byzantine stuck-at-1 seeds).  Pure functions of topology, delays and
-        faults -- bit-deterministic across runs, machines and solver paths.
+        completed, each pushed exactly once), ``frontier_advances``
+        (forwarding nodes finalized) and ``messages_delivered`` (trigger
+        arrivals that landed, including Byzantine stuck-at-1 seeds).  Pure
+        functions of topology, delays and faults -- bit-deterministic across
+        runs and machines.
     """
 
     grid: HexGrid
@@ -145,183 +142,6 @@ class PulseSolution:
         return times
 
 
-def _arrival_matrix_shape(grid: HexGrid) -> Tuple[int, int, int]:
-    return (grid.layers + 1, grid.width, len(TRIGGER_GUARDS) + 1)
-
-
-def solve_single_pulse(
-    grid: HexGrid,
-    layer0_times: Sequence[float],
-    delays: LinkDelayProvider,
-    fault_model: Optional[FaultModel] = None,
-    byzantine_high_time: float = 0.0,
-) -> PulseSolution:
-    """Compute the firing time of every node for a single pulse wave.
-
-    Parameters
-    ----------
-    grid:
-        The HEX grid.
-    layer0_times:
-        Firing times of the ``W`` layer-0 clock sources (scenario-dependent;
-        see :mod:`repro.clocksource.scenarios`).  Faulty layer-0 nodes are
-        handled through the fault model; their entry here is ignored.
-    delays:
-        Link delay provider (see :class:`LinkDelayProvider`).  Only consulted
-        for links that behave correctly.
-    fault_model:
-        Faults to inject; ``None`` means fault-free.
-    byzantine_high_time:
-        The time at which a stuck-at-1 Byzantine link sets the receiver's
-        memory flag.  The paper's testbench drives such links high from the
-        start of the run, hence the default of 0.
-
-    Returns
-    -------
-    PulseSolution
-    """
-    layer0_times = np.asarray(layer0_times, dtype=float)
-    if layer0_times.shape != (grid.width,):
-        raise ValueError(
-            f"layer0_times must have shape ({grid.width},), got {layer0_times.shape}"
-        )
-    if fault_model is not None and fault_model.grid != grid:
-        raise ValueError("fault model belongs to a different grid")
-    faults = fault_model if fault_model is not None else FaultModel.fault_free(grid)
-
-    num_layers, width = grid.layers + 1, grid.width
-    trigger_times = np.full((num_layers, width), math.inf, dtype=float)
-    guards = np.full((num_layers, width), -1, dtype=np.int8)
-    correct_mask = faults.correctness_mask()
-    # Structurally absent nodes (punctured slots of a degraded topology) are
-    # excluded like faulty nodes: nan trigger time, masked out of statistics.
-    presence = grid.presence_mask()
-    correct_mask &= presence
-    trigger_times[~presence] = math.nan
-
-    # arrivals[node] maps incoming Direction -> arrival time of the trigger
-    # message on that link (only for links whose message is already determined).
-    arrivals: Dict[NodeId, Dict[Direction, float]] = {
-        node: {} for node in grid.forwarding_nodes()
-    }
-
-    # Priority queue of firing candidates: (time, layer, column, guard_value).
-    heap: List[Tuple[float, int, int, int]] = []
-    finalized = np.zeros((num_layers, width), dtype=bool)
-
-    def push_candidates(node: NodeId) -> None:
-        """(Re-)evaluate all guards of ``node`` and push completed ones."""
-        node_arrivals = arrivals[node]
-        layer, column = node
-        for guard_value, (dir_a, dir_b) in enumerate(TRIGGER_GUARDS):
-            if dir_a in node_arrivals and dir_b in node_arrivals:
-                candidate = max(node_arrivals[dir_a], node_arrivals[dir_b])
-                heapq.heappush(heap, (candidate, layer, column, guard_value))
-
-    def deliver(source: NodeId, fire_time: float) -> None:
-        """Propagate the firing of ``source`` to its correct out-neighbours."""
-        for destination in grid.out_neighbors(source).values():
-            dest_layer, dest_column = destination
-            if dest_layer == 0 or not correct_mask[dest_layer, dest_column]:
-                continue
-            behavior = faults.link_behavior((source, destination), time=fire_time)
-            if behavior is not LinkBehavior.CORRECT:
-                # Constant links were already seeded below; silent links deliver
-                # nothing.
-                continue
-            direction = grid.direction_between(source, destination)
-            arrival = fire_time + delays.delay(source, destination)
-            node_arrivals = arrivals[destination]
-            if direction in node_arrivals:
-                # A link delivers (at most) one message per pulse under (C2).
-                continue
-            node_arrivals[direction] = arrival
-            push_candidates(destination)
-
-    # ------------------------------------------------------------------
-    # seed: Byzantine stuck-at-1 links set the receiver's flag immediately
-    # ------------------------------------------------------------------
-    for faulty_node in faults.faulty_nodes():
-        for destination in grid.out_neighbors(faulty_node).values():
-            dest_layer, dest_column = destination
-            if dest_layer == 0 or not correct_mask[dest_layer, dest_column]:
-                continue
-            if faults.link_behavior((faulty_node, destination)) is LinkBehavior.CONSTANT_ONE:
-                direction = grid.direction_between(faulty_node, destination)
-                arrivals[destination][direction] = byzantine_high_time
-    for (source, destination), behavior in (
-        (link, faults.link_behavior(link)) for link in faults.faulty_links()
-    ):
-        dest_layer, dest_column = destination
-        if dest_layer == 0 or not correct_mask[dest_layer, dest_column]:
-            continue
-        if behavior is LinkBehavior.CONSTANT_ONE:
-            direction = grid.direction_between(source, destination)
-            arrivals[destination][direction] = byzantine_high_time
-    for node in grid.forwarding_nodes():
-        if arrivals[node]:
-            push_candidates(node)
-
-    # ------------------------------------------------------------------
-    # seed: layer-0 clock sources
-    # ------------------------------------------------------------------
-    for column in range(width):
-        source = (0, column)
-        if not correct_mask[0, column]:
-            trigger_times[0, column] = math.nan
-            continue
-        fire_time = float(layer0_times[column])
-        trigger_times[0, column] = fire_time
-        finalized[0, column] = True
-        deliver(source, fire_time)
-
-    # Faulty forwarding nodes never fire; mark them now.
-    for layer, column in faults.faulty_nodes():
-        if layer > 0:
-            trigger_times[layer, column] = math.nan
-
-    # ------------------------------------------------------------------
-    # Dijkstra sweep
-    # ------------------------------------------------------------------
-    while heap:
-        candidate, layer, column, guard_value = heapq.heappop(heap)
-        if finalized[layer, column]:
-            continue
-        finalized[layer, column] = True
-        trigger_times[layer, column] = candidate
-        guards[layer, column] = guard_value
-        deliver((layer, column), candidate)
-
-    # Post-hoc work accounting (O(n), outside the sweep -- the hot loop pays
-    # nothing).  Counts the *deduplicated* heap traffic so the number matches
-    # the planned fast path, which skips the re-pushes this sweep performs.
-    messages_delivered = 0
-    heap_pushes = 0
-    for node_arrivals in arrivals.values():
-        messages_delivered += len(node_arrivals)
-        for dir_a, dir_b in TRIGGER_GUARDS:
-            if dir_a in node_arrivals and dir_b in node_arrivals:
-                heap_pushes += 1
-    work = {
-        "heap_pushes": heap_pushes,
-        "frontier_advances": int(finalized[1:, :].sum()),
-        "messages_delivered": messages_delivered,
-    }
-
-    layer0_out = trigger_times[0, :].copy()
-    return PulseSolution(
-        grid=grid,
-        trigger_times=trigger_times,
-        guards=guards,
-        correct_mask=correct_mask,
-        layer0_times=layer0_out,
-        work=work,
-    )
-
-
-# ----------------------------------------------------------------------
-# plan-compiled fast path (fault-free runs)
-# ----------------------------------------------------------------------
 #: Flat indices of the four incoming directions, chosen so that the three
 #: guards of :data:`TRIGGER_GUARDS` become the consecutive pairs
 #: ``(0, 1), (1, 2), (2, 3)``.
@@ -332,17 +152,21 @@ _IN_INDEX = {
     Direction.RIGHT: 3,
 }
 
+#: One out-link of a plan: ``(dest_index, in_direction_index, dest_layer,
+#: dest_column)``.
+_Link = Tuple[int, int, int, int]
+
 
 @dataclass(frozen=True)
 class SolverPlan:
-    """RNG-free scaffolding of :func:`solve_single_pulse_planned`.
+    """RNG-free scaffolding of :func:`solve_single_pulse`.
 
     A plan compiles a grid's neighbour tables into flat Python lists indexed
     by the row-major node index, so the sweep's inner loop touches no dicts,
     no ``(layer, column)`` tuples and no :class:`Direction` enums.  Plans
-    contain only topology-derived data (no randomness, no per-run state), so
-    one plan serves every run on an equal grid; :func:`solver_plan` caches
-    them by grid identity.
+    contain only topology-derived data (no randomness, no faults, no per-run
+    state), so one plan serves every run on an equal grid; :func:`solver_plan`
+    caches them by grid identity.
 
     Attributes
     ----------
@@ -350,11 +174,10 @@ class SolverPlan:
         Node index -> ``(layer, column)`` tuple (the form delay models and
         result matrices expect).
     out_links:
-        Node index -> list of ``(dest_index, in_direction_index, dest_layer,
-        dest_column)`` tuples, in the exact iteration order of
+        Node index -> tuple of ``(dest_index, in_direction_index, dest_layer,
+        dest_column)`` links, in the exact iteration order of
         ``grid.out_neighbors(node).values()``; destinations on layer 0 or
-        structurally absent are excluded (the reference sweep skips them
-        before consuming any randomness).
+        structurally absent are excluded (they never fire on a trigger).
     present_sources:
         The layer-0 columns whose source node is structurally present.
     """
@@ -363,7 +186,7 @@ class SolverPlan:
     width: int
     layers: int
     nodes: Tuple[NodeId, ...]
-    out_links: Tuple[Tuple[Tuple[int, int, int, int], ...], ...]
+    out_links: Tuple[Tuple[_Link, ...], ...]
     present_sources: Tuple[int, ...]
 
     @classmethod
@@ -379,10 +202,10 @@ class SolverPlan:
             for layer in range(grid.layers + 1)
             for column in range(width)
         )
-        out_links: List[Tuple[Tuple[int, int, int, int], ...]] = []
+        out_links: List[Tuple[_Link, ...]] = []
         for node in nodes:
             layer, column = node
-            links: List[Tuple[int, int, int, int]] = []
+            links: List[_Link] = []
             if presence[layer, column]:
                 for destination in grid.out_neighbors(node).values():
                     dest_layer, dest_column = destination
@@ -421,31 +244,119 @@ def solver_plan(grid: HexGrid) -> SolverPlan:
     return SolverPlan.compile(grid)
 
 
-def solve_single_pulse_planned(
+def _fault_view(
+    plan: SolverPlan,
+    faults: FaultModel,
+    arrivals: List[Optional[float]],
+    heap: List[Tuple[float, int, int, int]],
+    byzantine_high_time: float,
+) -> Tuple[Sequence[Tuple[_Link, ...]], Tuple[int, ...]]:
+    """Fold one run's faults into the plan; returns ``(out_links, sources)``.
+
+    Apart from one shallow copy of the plan's link table, the work is
+    proportional to the number of faults: only the *touched* sources --
+    faulty nodes, their in-neighbours and the sources of faulty links -- get
+    filtered link lists; every other source keeps the plan's own.  A touched source keeps exactly its ``CORRECT`` links into
+    correct nodes, so the sweep consults the delay model for the same links
+    in the same order as a per-link behaviour check would; faulty nodes keep
+    none (they never fire).  ``CONSTANT_ONE`` links into correct nodes are
+    written into ``arrivals`` as ``byzantine_high_time`` seeds, and every
+    guard two seeds complete is pushed right away (a delivered arrival
+    pushes the guards it completes itself).  Faulty clock sources are
+    dropped from the layer-0 sources.
+
+    Link behaviours are queried at their eventual time: faulty nodes --
+    crash faults included -- never fire, so no link of theirs is ever
+    consulted at a firing time.
+    """
+    width = plan.width
+    nodes = plan.nodes
+    grid = faults.grid
+    dead = {layer * width + column for layer, column in faults.faulty_nodes()}
+    touched = set(dead)
+    for node in faults.faulty_nodes():
+        for source in grid.in_neighbors(node).values():
+            touched.add(source[0] * width + source[1])
+    for source, _destination in faults.faulty_links():
+        touched.add(source[0] * width + source[1])
+    if not touched:
+        return plan.out_links, plan.present_sources
+
+    out_links = list(plan.out_links)
+    seeded: List[int] = []
+    for source_index in sorted(touched):
+        source = nodes[source_index]
+        kept: List[_Link] = []
+        for link in out_links[source_index]:
+            dest_index, direction = link[0], link[1]
+            if dest_index in dead:
+                continue
+            behavior = faults.link_behavior((source, nodes[dest_index]))
+            if behavior is LinkBehavior.CONSTANT_ONE:
+                arrivals[dest_index * 4 + direction] = byzantine_high_time
+                seeded.append(dest_index)
+            elif behavior is LinkBehavior.CORRECT and source_index not in dead:
+                kept.append(link)
+        out_links[source_index] = tuple(kept)
+    for dest_index in sorted(set(seeded)):
+        layer, column = nodes[dest_index]
+        base = dest_index * 4
+        for guard_value in range(len(TRIGGER_GUARDS)):
+            first = arrivals[base + guard_value]
+            second = arrivals[base + guard_value + 1]
+            if first is not None and second is not None:
+                heapq.heappush(heap, (max(first, second), layer, column, guard_value))
+    sources = tuple(column for column in plan.present_sources if column not in dead)
+    return out_links, sources
+
+
+def solve_single_pulse(
     grid: HexGrid,
     layer0_times: Sequence[float],
     delays: LinkDelayProvider,
+    fault_model: Optional[FaultModel] = None,
+    byzantine_high_time: float = 0.0,
     plan: Optional[SolverPlan] = None,
 ) -> PulseSolution:
-    """Fault-free fast path of :func:`solve_single_pulse`.
+    """Compute the firing time of every node for a single pulse wave.
 
-    Runs the identical Dijkstra sweep -- same candidate tuples, same heap
-    discipline, same delivery order, and therefore the *same sequence of
-    delay-model queries* -- over the flat arrays of a :class:`SolverPlan`
-    instead of the dict-of-tuples bookkeeping of the reference sweep.  For a
-    fault-free run the result is bit-identical to
-    ``solve_single_pulse(grid, layer0_times, delays)`` (pinned by the engine
-    test suite); callers with a non-trivial fault model must use the
-    reference solver.
+    Parameters
+    ----------
+    grid:
+        The HEX grid.
+    layer0_times:
+        Firing times of the ``W`` layer-0 clock sources (scenario-dependent;
+        see :mod:`repro.clocksource.scenarios`).  Faulty layer-0 nodes are
+        handled through the fault model; their entry here is ignored.
+    delays:
+        Link delay provider (see :class:`LinkDelayProvider`).  Only consulted
+        for links that behave correctly, each at most once, in the order the
+        sweep delivers over them.
+    fault_model:
+        Faults to inject; ``None`` means fault-free.
+    byzantine_high_time:
+        The time at which a stuck-at-1 Byzantine link sets the receiver's
+        memory flag.  The paper's testbench drives such links high from the
+        start of the run, hence the default of 0.
+    plan:
+        The grid's :class:`SolverPlan`; defaults to the cached
+        :func:`solver_plan`.  Batch callers pass it once per grid.
 
-    This is the hot path of ``SolverEngine.run_batch``: the plan is compiled
-    once per grid and shared across all runs of a batch.
+    Returns
+    -------
+    PulseSolution
+
+    The sweep runs over the flat arrays of the plan.  A fault model is folded
+    in per run (:func:`_fault_view`), at a cost proportional to the number of
+    faults; the hot loop is the same for faulty and fault-free runs.
     """
     layer0 = np.asarray(layer0_times, dtype=float)
     if layer0.shape != (grid.width,):
         raise ValueError(
             f"layer0_times must have shape ({grid.width},), got {layer0.shape}"
         )
+    if fault_model is not None and fault_model.grid != grid:
+        raise ValueError("fault model belongs to a different grid")
     if plan is None:
         plan = solver_plan(grid)
 
@@ -456,9 +367,14 @@ def solve_single_pulse_planned(
     arrivals: List[Optional[float]] = [None] * (num_nodes * 4)
     finalized = bytearray(num_nodes)
     heap: List[Tuple[float, int, int, int]] = []
+    out_links: Sequence[Tuple[_Link, ...]] = plan.out_links
+    sources = plan.present_sources
+    if fault_model is not None:
+        out_links, sources = _fault_view(
+            plan, fault_model, arrivals, heap, byzantine_high_time
+        )
     push = heapq.heappush
     pop = heapq.heappop
-    out_links = plan.out_links
     node_tuples = plan.nodes
     link_delay = delays.delay
 
@@ -468,11 +384,10 @@ def solve_single_pulse_planned(
             arrival = fire_time + link_delay(source, node_tuples[dest_index])
             base = dest_index * 4
             arrivals[base + direction] = arrival
-            # Push exactly the guards this arrival completes.  The reference
-            # sweep re-pushes already-complete guards with unchanged candidate
-            # tuples; duplicates never alter the pop order, so skipping them
-            # keeps the finalization sequence (and thus the delay-draw order)
-            # bit-identical while halving the heap traffic.
+            # Push exactly the guards this arrival completes.  Candidates are
+            # always later than the node being finalized, so the pop order --
+            # and with it the order of delay queries -- is the sorted order of
+            # the candidate tuples, whatever order they were pushed in.
             if direction == 0:
                 other = arrivals[base + 1]
                 if other is not None:
@@ -544,7 +459,7 @@ def solve_single_pulse_planned(
                         ),
                     )
 
-    for column in plan.present_sources:
+    for column in sources:
         fire_time = float(layer0[column])
         trigger_flat[column] = fire_time
         finalized[column] = 1
@@ -562,8 +477,7 @@ def solve_single_pulse_planned(
 
     # Post-hoc work accounting over the flat arrival slots (O(n), outside the
     # sweep).  A guard counts as one heap push when both of its arrivals
-    # landed -- exactly when this path pushed it -- so the numbers equal the
-    # reference sweep's deduplicated counts bit for bit.
+    # landed -- exactly when the sweep pushed it.
     messages_delivered = 0
     heap_pushes = 0
     for base in range(0, 4 * num_nodes, 4):
@@ -579,15 +493,18 @@ def solve_single_pulse_planned(
         )
     work = {
         "heap_pushes": heap_pushes,
-        "frontier_advances": sum(finalized) - len(plan.present_sources),
+        "frontier_advances": sum(finalized) - len(sources),
         "messages_delivered": messages_delivered,
     }
 
     trigger_times = np.array(trigger_flat, dtype=float).reshape(plan.layers + 1, width)
     guards = np.array(guard_flat, dtype=np.int8).reshape(plan.layers + 1, width)
-    presence = grid.presence_mask()
-    trigger_times[~presence] = math.nan
-    correct_mask = presence.copy()
+    # Structurally absent nodes (punctured slots of a degraded topology) are
+    # excluded like faulty nodes: nan trigger time, masked out of statistics.
+    correct_mask = grid.presence_mask().copy()
+    if fault_model is not None:
+        correct_mask &= fault_model.correctness_mask()
+    trigger_times[~correct_mask] = math.nan
     return PulseSolution(
         grid=grid,
         trigger_times=trigger_times,

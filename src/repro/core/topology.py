@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # networkx is optional: only the graph exports need it
+    import networkx as nx
 
 #: A node identity: ``(layer, column)`` with ``0 <= layer <= L`` and
 #: ``0 <= column < W``.
@@ -623,8 +625,11 @@ class HexGrid:
 
         Node attributes: ``layer``, ``column``.  Edge attribute: ``direction``
         (the :class:`Direction` of the destination as seen from the source,
-        i.e. the direction the message travels).
+        i.e. the direction the message travels).  Needs the optional
+        ``networkx`` package.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(layers=self.layers, width=self.width)
         for layer, column in self.nodes():
             graph.add_node((layer, column), layer=layer, column=column)

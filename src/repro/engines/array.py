@@ -38,10 +38,13 @@ whenever both engines see the same per-link delay *values* the results are
 **bit-identical** -- which is exactly the fault-free x deterministic-delays
 regime declared in the capabilities (``exact_when = ("fault_free",
 "deterministic_delays")``; see :data:`~repro.engines.base.
-DETERMINISTIC_DELAY_MODELS`).  Random delay models draw lazily *in traversal
-order*, so two engines observe different per-link values; there the engine
-falls back to the ``tolerance=1.0`` claim: every result lies pointwise inside
-the per-spec delay envelope ``[T_lo, T_hi]`` of :func:`delay_envelope`.
+DETERMINISTIC_DELAY_MODELS`).  Random delays are drawn in a different order
+by each engine: the solver draws lazily in its traversal order, while this
+engine draws all links up front in its plane order (layer, in-direction,
+column; one generator call for uniform delays).  The two engines therefore
+observe different per-link values; there the engine falls back to the
+``tolerance=1.0`` claim: every result lies pointwise inside the per-spec
+delay envelope ``[T_lo, T_hi]`` of :func:`delay_envelope`.
 
 Randomness contract (same as the solver): draws come only from the run's
 generator, layer-0 scenario first, then the delay model.  Fault injection is
@@ -73,7 +76,7 @@ from repro.engines.base import (
     require_topology_support,
     validate_layer0,
 )
-from repro.simulation.links import ConstantDelays, DelayModel
+from repro.simulation.links import ConstantDelays, DelayModel, UniformRandomDelays
 from repro.topologies import HexPatch, HexTorus
 
 __all__ = ["ArrayEngine", "ArrayPlan", "array_plan", "delay_envelope"]
@@ -212,12 +215,15 @@ def _delay_planes(
     """Dense per-direction delay planes, with absent links folded in as ``+inf``.
 
     ``planes[direction][l, i]`` is the delay of the in-link into node
-    ``(l, i)`` from ``direction``.  The two deterministic models are
-    vectorized; any other model is consulted link by link in a fixed,
-    documented order (layer-major, then the canonical in-direction order,
-    then column-major) -- deterministic *per engine*, but different from the
-    solver's traversal order, which is exactly why random models sit outside
-    the bit-identical regime.
+    ``(l, i)`` from ``direction``.  Links are drawn in a fixed, documented
+    order: layer-major, then the canonical in-direction order, then column.
+    The two deterministic models and :class:`UniformRandomDelays` are
+    vectorized -- the latter draws every link in that order with one
+    generator call, bit-identical to querying the links one by one -- and
+    any other model is consulted link by link in the same order.  The order
+    is deterministic *per engine* but differs from the solver's traversal
+    order, which is exactly why random models sit outside the bit-identical
+    regime.
     """
     rows, width = plan.layers + 1, plan.width
     planes: Dict[Direction, np.ndarray]
@@ -232,6 +238,15 @@ def _delay_planes(
         planes = {
             direction: np.broadcast_to(row, (rows, width)).copy()
             for direction in _IN_DIRECTIONS
+        }
+    elif type(delays) is UniformRandomDelays:  # a subclass may override delay()
+        # (layer, in-direction, column): C order is the documented draw order.
+        present = ~np.stack([plan.absent[d] for d in _IN_DIRECTIONS], axis=1)
+        values = np.full(present.shape, math.inf)
+        values[present] = delays.draw(int(np.count_nonzero(present)))
+        planes = {
+            direction: values[:, position, :]
+            for position, direction in enumerate(_IN_DIRECTIONS)
         }
     else:
         planes = {

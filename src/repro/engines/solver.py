@@ -16,7 +16,7 @@ import numpy as np
 from repro import obs
 from repro.clocksource.scenarios import scenario_layer0_times
 from repro.core.parameters import TimeoutConfig, TimingConfig
-from repro.core.pulse_solver import solve_single_pulse, solve_single_pulse_planned, solver_plan
+from repro.core.pulse_solver import solve_single_pulse, solver_plan
 from repro.core.topology import HexGrid
 from repro.engines.base import (
     EngineCapabilities,
@@ -109,15 +109,13 @@ class SolverEngine:
 
         * each distinct ``(topology, layers, width)`` builds its grid (and
           the neighbour tables that dominate construction) exactly once;
-        * fault-free specs run through the plan-compiled flat-array sweep
-          (:func:`~repro.core.pulse_solver.solve_single_pulse_planned`),
-          whose :class:`~repro.core.pulse_solver.SolverPlan` is likewise
-          shared per grid.
+        * every spec, faulty or not, runs the plan-compiled flat-array sweep
+          of :func:`~repro.core.pulse_solver.solve_single_pulse`, whose
+          :class:`~repro.core.pulse_solver.SolverPlan` is likewise shared per
+          grid (a spec's faults are folded in per run).
 
         Grid construction and plan compilation consume no randomness, so the
-        sharing cannot perturb seeded draws; specs with faults keep the
-        reference sweep (the fault machinery is draw-order-sensitive) and
-        still benefit from the shared grid.
+        sharing cannot perturb seeded draws.
         """
         with obs.span("engine.run_batch", engine=self.name, size=len(specs)):
             obs.inc("engine.solver.runs", len(specs))
@@ -147,12 +145,9 @@ class SolverEngine:
             )
             delays = spec.make_delays(timing, generator, kind_default="uniform")
             layer0 = validate_layer0(grid, layer0)
-            if fault_model is None:
-                solution = solve_single_pulse_planned(
-                    grid, layer0, delays, plan=solver_plan(grid)
-                )
-            else:
-                solution = solve_single_pulse(grid, layer0, delays, fault_model=fault_model)
+            solution = solve_single_pulse(
+                grid, layer0, delays, fault_model=fault_model, plan=solver_plan(grid)
+            )
             _record_solver_work(solution)
             results.append(
                 RunResult(

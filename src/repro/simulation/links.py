@@ -150,6 +150,22 @@ class UniformRandomDelays(DelayModel):
             self._cache[key] = value
         return value
 
+    def draw(self, count: int) -> np.ndarray:
+        """Draw the delays of ``count`` distinct links in one generator call.
+
+        The values -- and the generator state afterwards -- equal those of
+        ``count`` :meth:`delay` queries on distinct links, in order.  The
+        caller owns the mapping of values to links: nothing is cached, so the
+        model must not have drawn any link yet (a cached link would consume
+        no randomness on its scalar query).
+        """
+        if self._cache:
+            raise ValueError(
+                "draw() needs a model that has drawn no link yet; "
+                f"{len(self._cache)} link delays are already cached"
+            )
+        return self._rng.uniform(self._timing.d_min, self._timing.d_max, size=count)
+
     def materialize(self, grid: HexGrid) -> Dict[LinkId, float]:
         """Draw (and cache) delays for *all* links of a grid and return them."""
         return {link: self.delay(*link) for link in grid.links()}

@@ -421,13 +421,13 @@ class TestRunBatch:
         for spec, batch_result in zip(specs, batched):
             self._assert_results_identical(engine.run(spec), batch_result)
         # grids are shared per (topology, layers, width) within the batch
-        fault_free = [r for r in batched if r.spec.num_faults == 0]
         by_topology = {}
         for result in batched:
             by_topology.setdefault(result.spec.topology, []).append(result)
         for results in by_topology.values():
             assert all(r.grid is results[0].grid for r in results)
-        assert fault_free  # the fast path was actually exercised
+        # faulty and fault-free specs share the one kernel
+        assert {bool(r.spec.num_faults) for r in batched} == {False, True}
 
     def test_solver_run_batch_rejects_unsupported_specs_like_run(self):
         engine = get_engine("solver")
@@ -450,15 +450,23 @@ class TestRunBatch:
                 per_spec.trigger_times, batched.trigger_times, equal_nan=True
             )
 
-    def test_planned_solver_used_only_when_fault_free(self):
+    def test_faulty_solver_run_batch_matches_per_spec_runs(self):
         engine = get_engine("solver")
-        faulty = RunSpec(
-            kind="single_pulse", layers=6, width=5, num_faults=2,
-            fault_type="byzantine", entropy=1, run_index=0,
-        )
-        (result,) = engine.run_batch([faulty])
-        assert result.fault_model is not None
-        assert result.solution is not None
+        specs = [
+            RunSpec(
+                kind="single_pulse", layers=6, width=5, num_faults=faults,
+                fault_type=fault_type, entropy=1, run_index=index,
+            )
+            for index, (faults, fault_type) in enumerate(
+                [(2, "byzantine"), (1, "fail_silent"), (3, "byzantine"), (2, "fail_silent")]
+            )
+        ]
+        batched = engine.run_batch(specs)
+        for spec, batch_result in zip(specs, batched):
+            per_spec = engine.run(spec)
+            assert batch_result.fault_model is not None
+            self._assert_results_identical(per_spec, batch_result)
+            assert per_spec.solution.work == batch_result.solution.work
 
 
 class TestCampaignBatching:

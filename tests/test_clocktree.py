@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.clocktree.comparison import compare_scaling
@@ -73,6 +74,18 @@ class TestTreeDelays:
         nominal = nominal_element_delays(tree, config)
         for index, value in sampled.items():
             assert 0.9 * nominal[index] - 1e-9 <= value <= 1.1 * nominal[index] + 1e-9
+
+    def test_sampled_delays_equal_two_scalar_draws_per_element(self):
+        tree = build_htree(3, span=8.0)
+        config = TreeDelayConfig(wire_delay_per_unit=2.0, buffer_delay=0.5, relative_variation=0.1)
+        sampled = sample_element_delays(tree, config, rng=np.random.default_rng(4))
+        scalar = np.random.default_rng(4)
+        for node in tree.nodes():
+            if node.parent is None:
+                continue
+            wire = 2.0 * node.wire_length * float(scalar.uniform(0.9, 1.1))
+            buffer = 0.5 * float(scalar.uniform(0.9, 1.1))
+            assert sampled[node.index] == wire + buffer
 
     def test_zero_variation_matches_nominal(self, rng):
         tree = build_htree(2)

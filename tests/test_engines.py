@@ -300,6 +300,39 @@ class TestClockTreeEngine:
             "tree_avg_neighbor_skew"
         ] >= 0.0
 
+    def test_matches_reference_tree_functions(self):
+        from repro.clocktree import (
+            TreeDelayConfig,
+            build_htree,
+            sample_element_delays,
+            sink_arrival_times,
+            tree_skew_report,
+        )
+
+        spec = RunSpec(kind="single_pulse", layers=20, width=12, scenario="ii", entropy=8)
+        result = get_engine("clocktree").run(spec)
+        levels = int(result.metrics["tree_levels"])
+        tree = build_htree(levels, span=float(2**levels))
+        timing = spec.make_timing()
+        config = TreeDelayConfig(
+            wire_delay_per_unit=timing.d_max,
+            buffer_delay=0.2 * timing.d_max,
+            relative_variation=timing.epsilon / timing.d_max,
+        )
+        element_delays = sample_element_delays(tree, config, rng=spec.rng())
+        arrivals = sink_arrival_times(tree, element_delays)
+        for (row, column), index in tree.sink_grid().items():
+            assert result.trigger_times[row, column] == arrivals[index]
+        report = tree_skew_report(tree, config, element_delays=element_delays)
+        assert result.metrics["tree_global_skew"] == report.global_skew
+        assert result.metrics["tree_max_neighbor_skew"] == report.max_neighbor_skew
+        assert result.metrics["tree_avg_neighbor_skew"] == report.avg_neighbor_skew
+        assert (
+            result.metrics["tree_max_neighbor_disjoint_path"]
+            == report.max_neighbor_disjoint_path
+        )
+        assert result.metrics["tree_depth"] == report.nominal_depth
+
     def test_deterministic_given_spec(self):
         spec = RunSpec(kind="single_pulse", layers=6, width=5, entropy=3)
         first = get_engine("clocktree").run(spec)
@@ -563,6 +596,27 @@ class TestArrayEngine:
         np.testing.assert_array_equal(array.correct_mask, solver.correct_mask)
         np.testing.assert_array_equal(array.layer0_times, solver.layer0_times)
         assert array.engine == "array" and array.spec == spec
+
+    @pytest.mark.parametrize("topology", ARRAY_TOPOLOGIES)
+    def test_one_call_uniform_planes_equal_link_by_link_draws(self, timing, topology):
+        from repro.engines.array import _delay_planes, array_plan
+        from repro.simulation.links import DelayModel
+
+        class LinkByLink(DelayModel):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def delay(self, source, destination):
+                return self.inner.delay(source, destination)
+
+        plan = array_plan(RunSpec(layers=9, width=7, topology=topology).make_grid())
+        one_call = np.random.default_rng(5)
+        per_link = np.random.default_rng(5)
+        planes = _delay_planes(plan, UniformRandomDelays(timing, one_call))
+        expected = _delay_planes(plan, LinkByLink(UniformRandomDelays(timing, per_link)))
+        for direction, plane in planes.items():
+            np.testing.assert_array_equal(plane, expected[direction])
+        assert one_call.uniform() == per_link.uniform()
 
     def test_run_batch_bit_identical_to_per_spec_loop(self):
         engine = get_engine("array")

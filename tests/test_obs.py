@@ -524,8 +524,8 @@ class TestCrossProcess:
 
     def test_work_counters_identical_across_solver_paths(self):
         """The deterministic work counters are path-independent: a serial
-        campaign (plan-compiled batched sweep) and a parallel one (per-task
-        reference sweep in pool workers) report the same numbers."""
+        campaign (batched runs) and a parallel one (per-task runs in pool
+        workers) report the same numbers."""
         from repro.campaign import CampaignRunner
 
         spec = _parallel_spec("obs-work", runs=3)

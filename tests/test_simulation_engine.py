@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.topology import HexGrid
@@ -115,6 +116,19 @@ class TestDelayModels:
         grid = HexGrid(layers=4, width=4)
         values = set(model.materialize(grid).values())
         assert len(values) > 10  # essentially all distinct
+
+    def test_uniform_draw_equals_scalar_queries_on_distinct_links(self, timing):
+        grid = HexGrid(layers=4, width=4)
+        links = list(grid.links())
+        scalar = UniformRandomDelays(timing, np.random.default_rng(9))
+        batch = UniformRandomDelays(timing, np.random.default_rng(9))
+        expected = [scalar.delay(*link) for link in links]
+        assert batch.draw(len(links)).tolist() == expected
+        # the generator is left in the same state: the next fresh link of
+        # either model (any key neither has cached) draws the same value
+        assert batch.delay((0, 0), (1, 0)) == scalar.delay((9, 9), (9, 9))
+        with pytest.raises(ValueError, match="already cached"):
+            batch.draw(1)
 
     def test_fresh_delays_resample_every_message(self, timing, rng):
         model = FreshUniformDelays(timing, rng)
