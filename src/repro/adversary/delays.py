@@ -29,12 +29,13 @@ order for the biased model -- the usual reproducibility contract.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.core.parameters import TimingConfig
 from repro.core.topology import LinkId, NodeId
+from repro.simulation.draws import BlockDraws
 from repro.simulation.links import DelayModel
 
 __all__ = ["MaxSkewDelays", "BiasedLinkDelays"]
@@ -110,19 +111,28 @@ class BiasedLinkDelays(DelayModel):
         return self._jitter
 
     def delay(self, source: NodeId, destination: NodeId) -> float:
-        key = (source, destination)
+        return self._link_bias((source, destination), self._rng.uniform)
+
+    def sample(self, source: NodeId, destination: NodeId) -> float:
+        return self._jittered((source, destination), self._rng.uniform)
+
+    def sampler(self, draws: BlockDraws) -> Callable[[NodeId, NodeId], float]:
+        uniform = draws.stream(self._rng).uniform
+        return lambda source, destination: self._jittered((source, destination), uniform)
+
+    def _link_bias(self, key: LinkId, uniform: Callable[[float, float], float]) -> float:
         value = self._bias.get(key)
         if value is None:
-            value = float(self._rng.uniform(self._timing.d_min, self._timing.d_max))
+            value = float(uniform(self._timing.d_min, self._timing.d_max))
             self._bias[key] = value
         return value
 
-    def sample(self, source: NodeId, destination: NodeId) -> float:
-        bias = self.delay(source, destination)
+    def _jittered(self, key: LinkId, uniform: Callable[[float, float], float]) -> float:
+        bias = self._link_bias(key, uniform)
         if self._jitter == 0.0:
             return bias
         amplitude = self._jitter * self._timing.epsilon
-        value = bias + float(self._rng.uniform(-amplitude, amplitude))
+        value = bias + float(uniform(-amplitude, amplitude))
         return float(min(max(value, self._timing.d_min), self._timing.d_max))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

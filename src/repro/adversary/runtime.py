@@ -5,8 +5,8 @@ A :class:`~repro.adversary.schedule.FaultSchedule` is declarative; calling its
 Condition 1, Byzantine per-link behaviours, mobile-fault walks) into a
 :class:`ScheduledAdversary` -- an ordered tuple of ``(time, action)`` pairs
 whose actions are pure data and *consume no randomness at run time*.  The
-discrete-event network schedules one
-:class:`~repro.simulation.events.AdversaryAction` event per pair and, when the
+discrete-event network schedules one adversary-action event per pair (an
+:class:`~repro.simulation.events.AdversaryAction` to observers) and, when the
 event fires, calls ``action.apply(network, time)``; each action maps to one of
 the network's public mutation hooks (``inject_node_fault``, ``heal_node``,
 ``flip_node_behavior``, ``set_link_behavior``).

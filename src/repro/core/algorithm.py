@@ -19,10 +19,12 @@ The firing guard of Algorithm 1 is: trigger messages memorized from
 
 :class:`HexNodeAutomaton` models exactly this timed behaviour in an
 engine-agnostic way: it never draws random numbers and never touches an event
-queue.  Timer durations are supplied by the caller (the discrete-event network
-in :mod:`repro.simulation.network`), and state transitions return structured
-:class:`FiringRecord` values so that causal analysis (Definition 1) can be
-performed on simulation traces.
+queue.  Timer durations are supplied by the caller, and state transitions
+return structured :class:`FiringRecord` values so that causal analysis
+(Definition 1) can be performed on simulation traces.  The discrete-event
+network (:mod:`repro.simulation.network`) runs the same transitions in its
+compiled loop on int-indexed state and keeps one automaton per node as the
+state view it loads before and writes back after every run.
 
 Since the paper folds the node's switching delay into the end-to-end link delay
 bounds, firing is instantaneous here: when the guard becomes satisfied at time

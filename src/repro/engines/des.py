@@ -258,9 +258,10 @@ class DesEngine:
         """Propagate one pulse wave through the full state machines.
 
         ``observer`` replaces the default :func:`repro.obs.des_observer` hook
-        with a caller-supplied network observer (duck-typed ``on_event`` /
-        ``on_firing`` / ``on_adversary``); the caller then owns whatever the
-        observer accumulated -- nothing is recorded into ``repro.obs``.
+        with a caller-supplied network observer (duck-typed ``on_firing`` /
+        ``on_adversary``, optionally ``on_event``); the caller then owns
+        whatever the observer accumulated -- ``repro.obs`` records only the
+        queue's ``des.events_scheduled`` / ``des.events_processed`` counters.
         """
         layer0 = validate_layer0(grid, layer0_times)
         if delays is None:
@@ -305,12 +306,11 @@ class DesEngine:
                 + timeouts.t_sleep_max,
             )
         network.run(until=horizon)
-        if network.observer is not None and not custom_observer:
-            obs.record_des_observer(
-                network.observer,
-                events_scheduled=network.queue.num_scheduled,
-                events_processed=network.queue.num_processed,
-            )
+        obs.record_des_observer(
+            None if custom_observer else network.observer,
+            events_scheduled=network.queue.num_scheduled,
+            events_processed=network.queue.num_processed,
+        )
         trigger_times = network.first_firing_matrix()
         final_model = self._final_fault_model(network, fault_model, adversary)
         correct_mask = (
@@ -382,11 +382,13 @@ class DesEngine:
         actions mutate the fault model mid-run.
 
         ``observer`` replaces the default :func:`repro.obs.des_observer` hook
-        with a caller-supplied network observer (duck-typed ``on_event`` /
-        ``on_firing`` / ``on_adversary``) that sees every firing as it
-        happens; ``collect_firings=False`` additionally skips building the
-        per-node ``firing_times`` dict on the result, so long soak epochs
-        whose observer already consumed the stream keep memory bounded.
+        with a caller-supplied network observer (duck-typed ``on_firing`` /
+        ``on_adversary``, optionally ``on_event``) that sees every firing as
+        it happens; ``repro.obs`` then records only the queue counters.
+        ``collect_firings=False`` additionally stops the network from
+        retaining firing records and skips building the per-node
+        ``firing_times`` dict on the result, so long soak epochs whose
+        observer already consumed the stream keep memory bounded.
         """
         schedule = np.atleast_2d(np.asarray(source_schedule, dtype=float))
         if schedule.shape[1] != grid.width:
@@ -412,6 +414,7 @@ class DesEngine:
         )
         custom_observer = observer is not None
         network.observer = observer if custom_observer else obs.des_observer()
+        network.record_firings = collect_firings
         network.initialize()
         if adversary is not None:
             adversary.install(network)
@@ -438,12 +441,11 @@ class DesEngine:
                 + run_slack,
             )
         network.run(until=horizon)
-        if network.observer is not None and not custom_observer:
-            obs.record_des_observer(
-                network.observer,
-                events_scheduled=network.queue.num_scheduled,
-                events_processed=network.queue.num_processed,
-            )
+        obs.record_des_observer(
+            None if custom_observer else network.observer,
+            events_scheduled=network.queue.num_scheduled,
+            events_processed=network.queue.num_processed,
+        )
 
         final_model = self._final_fault_model(network, fault_model, adversary)
         firing_times: Dict[NodeId, List[float]] = {}

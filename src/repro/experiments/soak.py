@@ -216,10 +216,7 @@ class SoakObserver:
         self._maxs = np.full(size, -np.inf, dtype=float)
         self._counts = np.zeros(size, dtype=np.int64)
 
-    # -- the duck-typed HexNetwork observer hooks ----------------------
-    def on_event(self, time: float, event: object) -> None:
-        """Per-event hook: unused (per-pulse stats come from firings)."""
-
+    # -- the duck-typed HexNetwork observer hooks (no per-event hook) ----
     def on_firing(self, node: NodeId, time: float) -> None:
         """Fold one firing into the live window's accumulators."""
         layer = node[0]

@@ -552,7 +552,10 @@ def record_des_observer(
 
     ``events_scheduled`` / ``events_processed`` come from the network's
     :class:`~repro.simulation.engine.EventQueue` counters, which are
-    maintained unconditionally (they predate obs and cost nothing extra).
+    maintained unconditionally (they predate obs and cost nothing extra), so
+    the DES engine records them for every run; ``observer`` is ``None`` when
+    the caller supplied its own network observer (a soak), whose counts the
+    caller owns.
     """
     if _registry is not None:
         _registry.inc("des.events_scheduled", events_scheduled)

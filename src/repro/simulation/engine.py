@@ -8,6 +8,12 @@ The queue is a thin, fully deterministic wrapper around :mod:`heapq`:
 * time never moves backwards -- scheduling an event in the past of the current
   simulation time raises, which catches subtle causality bugs early.
 
+Entries are ``(time, seq, event)`` tuples for :meth:`EventQueue.schedule` and
+flat ``(time, seq, kind, a, b, c)`` tuples for :meth:`EventQueue.push`, the
+int-coded events of :class:`repro.simulation.network.HexNetwork`, whose
+compiled loop pops and pushes the heap directly (with the same checks and
+counters) and syncs :attr:`EventQueue.now` and the counters back.
+
 Keeping the engine this small (schedule / pop / peek) pushes all domain logic
 into :mod:`repro.simulation.network`, which makes both parts easy to test in
 isolation.
@@ -16,9 +22,8 @@ isolation.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 __all__ = ["EventQueue"]
 
@@ -40,9 +45,9 @@ class EventQueue(Generic[E]):
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._heap: List[Tuple[float, int, E]] = []
-        self._counter = itertools.count()
+        self._heap: List[Tuple[Any, ...]] = []
         self._now = float(start_time)
+        #: Also the sequence number of the next entry (the tie-breaker).
         self._num_scheduled = 0
         self._num_processed = 0
 
@@ -73,8 +78,8 @@ class EventQueue(Generic[E]):
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def schedule(self, time: float, event: E) -> None:
-        """Schedule ``event`` at absolute ``time``.
+    def check_time(self, time: float) -> None:
+        """Raise ``ValueError`` unless ``time`` may be scheduled now.
 
         Raises
         ------
@@ -88,8 +93,20 @@ class EventQueue(Generic[E]):
             raise ValueError(
                 f"cannot schedule an event at {time} before current time {self._now}"
             )
-        heapq.heappush(self._heap, (float(time), next(self._counter), event))
-        self._num_scheduled += 1
+
+    def schedule(self, time: float, event: E) -> None:
+        """Schedule ``event`` at absolute ``time`` (see :meth:`check_time`)."""
+        self.check_time(time)
+        seq = self._num_scheduled
+        heapq.heappush(self._heap, (float(time), seq, event))
+        self._num_scheduled = seq + 1
+
+    def push(self, time: float, kind: int, a: Any, b: Any = None, c: Any = None) -> None:
+        """Schedule a flat ``(time, seq, kind, a, b, c)`` entry at ``time``."""
+        self.check_time(time)
+        seq = self._num_scheduled
+        heapq.heappush(self._heap, (float(time), seq, kind, a, b, c))
+        self._num_scheduled = seq + 1
 
     def peek_time(self) -> Optional[float]:
         """The time of the next event, or ``None`` if the queue is empty."""
@@ -97,18 +114,21 @@ class EventQueue(Generic[E]):
             return None
         return self._heap[0][0]
 
-    def pop(self) -> Tuple[float, E]:
+    def pop(self) -> Tuple[float, Any]:
         """Remove and return the next ``(time, event)`` pair, advancing time.
+
+        The event of a :meth:`push` entry is its ``(kind, a, b, c)`` tuple.
 
         Raises
         ------
         IndexError
             If the queue is empty.
         """
-        time, _seq, event = heapq.heappop(self._heap)
+        entry = heapq.heappop(self._heap)
+        time = entry[0]
         self._now = time
         self._num_processed += 1
-        return time, event
+        return time, (entry[2] if len(entry) == 3 else entry[2:])
 
     def pop_until(self, horizon: float) -> Iterator[Tuple[float, E]]:
         """Yield events in time order up to (and including) ``horizon``."""

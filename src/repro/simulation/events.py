@@ -1,11 +1,13 @@
 """Typed events of the HEX discrete-event simulation.
 
-Each event is a small frozen dataclass.  Events never carry behaviour; the
-:class:`repro.simulation.network.HexNetwork` dispatches on their type.  All
-events are totally ordered by their scheduled time with a monotonically
-increasing sequence number as a tie-breaker (assigned by the
-:class:`repro.simulation.engine.EventQueue`), which makes simulation runs fully
-deterministic for a given seed.
+Each event is a small frozen dataclass: the readable form of one entry of
+the :class:`repro.simulation.network.HexNetwork` queue, which itself holds
+flat int-coded tuples.  The network decodes an entry into one of these only
+for an observer that defines ``on_event`` (such as
+:class:`repro.obs.capture.DesRunObserver`).  All events are totally ordered by
+their scheduled time with a monotonically increasing sequence number as a
+tie-breaker (assigned by the :class:`repro.simulation.engine.EventQueue`),
+which makes simulation runs fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class MessageArrival:
     """A trigger message arrives at ``destination`` on the link from ``source``.
 
     ``direction`` is the incoming direction under which the destination files
-    the message (redundant with ``source`` but precomputed for speed).
+    the message (redundant with ``source``).
     ``from_byzantine_high`` marks arrivals that model a stuck-at-1 link
     re-asserting itself; the network re-schedules those whenever the
     corresponding memory flag is cleared.

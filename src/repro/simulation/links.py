@@ -16,17 +16,24 @@ each individual message:
   cross-validation tests exact;
 * :class:`FreshUniformDelays` instead draws a fresh delay for every message,
   modelling per-message jitter in long multi-pulse runs.
+
+A discrete-event run takes its per-message function from
+:meth:`DelayModel.sampler`: the random models draw there through the run's
+exact block stream of their generator (:mod:`repro.simulation.draws`) --
+the same values, and the same generator state afterwards, as scalar
+``Generator.uniform`` calls.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Mapping
+from typing import Callable, Dict, Mapping
 
 import numpy as np
 
 from repro.core.parameters import TimingConfig
 from repro.core.topology import HexGrid, LinkId, NodeId
+from repro.simulation.draws import BlockDraws
 
 __all__ = [
     "DelayModel",
@@ -51,6 +58,15 @@ class DelayModel(abc.ABC):
         override this.
         """
         return self.delay(source, destination)
+
+    def sampler(self, draws: BlockDraws) -> Callable[[NodeId, NodeId], float]:
+        """The :meth:`sample` function of one discrete-event run.
+
+        A model that draws from a generator draws here through
+        ``draws.stream(generator)`` (same values as :meth:`sample`); the
+        default, for models that draw nothing, is :meth:`sample` itself.
+        """
+        return self.sample
 
     def validate_against(self, timing: TimingConfig, grid: HexGrid) -> bool:
         """Check that every link delay of ``grid`` lies within ``[d-, d+]``.
@@ -150,6 +166,21 @@ class UniformRandomDelays(DelayModel):
             self._cache[key] = value
         return value
 
+    def sampler(self, draws: BlockDraws) -> Callable[[NodeId, NodeId], float]:
+        # :meth:`delay` with the draw taken from the stream; kept separate so
+        # the solver's per-link queries pay no extra call.
+        uniform = draws.stream(self._rng).uniform
+        cache, low, high = self._cache, self._timing.d_min, self._timing.d_max
+
+        def sample(source: NodeId, destination: NodeId) -> float:
+            key = (source, destination)
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = uniform(low, high)
+            return value
+
+        return sample
+
     def draw(self, count: int) -> np.ndarray:
         """Draw the delays of ``count`` distinct links in one generator call.
 
@@ -199,6 +230,11 @@ class FreshUniformDelays(DelayModel):
 
     def sample(self, source: NodeId, destination: NodeId) -> float:
         return self.delay(source, destination)
+
+    def sampler(self, draws: BlockDraws) -> Callable[[NodeId, NodeId], float]:
+        uniform = draws.stream(self._rng).uniform
+        low, high = self._timing.d_min, self._timing.d_max
+        return lambda source, destination: uniform(low, high)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"FreshUniformDelays([{self._timing.d_min}, {self._timing.d_max}])"

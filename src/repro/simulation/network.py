@@ -7,15 +7,28 @@
 * the :class:`~repro.simulation.engine.EventQueue`,
 * the link delay model, the timeout configuration and the fault model,
 
-and implements the event handlers that realise the timed semantics of
-Algorithm 1 on the grid:
+and runs the timed semantics of Algorithm 1 on the grid in one compiled event
+loop (:meth:`HexNetwork.run`).  Queue entries are flat
+``(time, seq, kind, a, b, c)`` tuples with an int ``kind``:
 
-* ``SourcePulse`` -- a layer-0 clock source fires and broadcasts to its two
+* source pulse -- a layer-0 clock source fires and broadcasts to its two
   upper neighbours;
-* ``MessageArrival`` -- a trigger message is memorized (starting a link timer)
-  and the receiving node fires if one of the three guards became satisfied;
-* ``FlagExpiry`` -- a memory flag is cleared after ``T_link``;
-* ``WakeUp`` -- a sleeping node clears all flags and becomes ready again.
+* arrival -- a trigger message is memorized (starting a link timer) and the
+  receiving node fires if one of the three guards became satisfied;
+* flag expiry -- a memory flag is cleared after ``T_link``;
+* wake-up -- a sleeping node clears all flags and becomes ready again;
+* stuck-at-1 arrival and adversary action (see below).
+
+Node fields are row-major node indices and direction fields are
+incoming-direction codes (positions in
+:data:`~repro.core.algorithm.INCOMING_DIRECTIONS`).  Out-links come from the
+grid's cached :func:`~repro.core.pulse_solver.solver_plan`, the table the heap
+solver uses (out-directions in ``Direction.value`` order: left, right,
+upper-left, upper-right).  During a run each node's state lives in
+int-indexed lists (phase, a 4-bit flag mask plus four expiry times, the wake
+time); the automata are loaded before the run and written back after it and
+around every adversary action, so the ``automata``, ``source_firings`` and
+``firing_times`` views read as if each automaton had processed its own events.
 
 Byzantine stuck-at-1 links are modelled exactly as the hardware behaves: the
 receiver's memory flag for such a link is set at simulation start and re-set
@@ -23,21 +36,32 @@ immediately whenever it is cleared (by a link timeout or a wake-up).
 
 The network never draws a random number outside the ``rng`` stream handed to it
 and never iterates over unordered sets when scheduling, so runs are bit-for-bit
-reproducible given (seed, parameters).
+reproducible given (seed, parameters).  Inside a run every scalar uniform draw
+goes through an exact block stream (:mod:`repro.simulation.draws`): the same
+values, and the same generator state afterwards, as scalar draws.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.algorithm import INCOMING_DIRECTIONS, FiringRecord, HexNodeAutomaton, NodePhase
+from repro.core.algorithm import (
+    INCOMING_DIRECTIONS,
+    FiringRecord,
+    GuardKind,
+    HexNodeAutomaton,
+    NodePhase,
+)
 from repro.core.parameters import TimeoutConfig, TimingConfig
+from repro.core.pulse_solver import solver_plan
 from repro.core.topology import Direction, HexGrid, NodeId
 from repro.faults.models import FaultModel, FaultType, LinkBehavior, NodeFault
+from repro.simulation.draws import BlockDraws
 from repro.simulation.engine import EventQueue
 from repro.simulation.events import (
     AdversaryAction,
@@ -50,6 +74,33 @@ from repro.simulation.events import (
 from repro.simulation.links import DelayModel
 
 __all__ = ["TimerPolicy", "HexNetwork"]
+
+#: Queue-entry kinds ``(time, seq, kind, a, b, c)``.
+_ARRIVAL = 0  # a = destination, b = direction code, c = source
+_EXPIRY = 1  # a = node, b = direction code, c = expiry time the flag was armed with
+_WAKE = 2  # a = node
+_SOURCE = 3  # a = layer-0 source (its column), b = pulse index
+_HIGH = 4  # a stuck-at-1 link asserting itself; fields as _ARRIVAL
+_ADVERSARY = 5  # a = index into the installed action table
+
+_IN_CODE = {direction: code for code, direction in enumerate(INCOMING_DIRECTIONS)}
+_BIT = (1, 2, 4, 8)
+
+
+def _first_guard(mask: int) -> Optional[GuardKind]:
+    """The first satisfied guard of a flag mask: left ``&3``, central ``&6``, right ``&12``."""
+    for kind, bits in zip(GuardKind, (3, 6, 12)):
+        if mask & bits == bits:
+            return kind
+    return None
+
+
+#: Flag mask -> first satisfied guard / memorized directions (canonical order).
+_GUARD = tuple(_first_guard(mask) for mask in range(16))
+_MEMORIZED = tuple(
+    tuple(d for code, d in enumerate(INCOMING_DIRECTIONS) if mask & _BIT[code])
+    for mask in range(16)
+)
 
 
 class TimerPolicy(enum.Enum):
@@ -115,6 +166,12 @@ class HexNetwork:
         self.queue: EventQueue[Event] = EventQueue()
         #: Firing records of layer-0 sources (guard is ``None``).
         self.source_firings: List[FiringRecord] = []
+        #: Whether runs append :class:`FiringRecord` values (to
+        #: ``source_firings`` and the automata).  The DES engine clears it for
+        #: ``multi_pulse(collect_firings=False)``, whose observer consumes the
+        #: firings as they happen.
+        self.record_firings = True
+        self._plan = solver_plan(grid)
 
         # Automata exist for correct forwarding nodes and for crash-faulty nodes
         # (which behave correctly until their crash time).
@@ -141,8 +198,11 @@ class HexNetwork:
         #: queue carries only indices into this table.
         self._adversary_actions: List[object] = []
         self._initialized = False
-        #: Optional read-only run observer (duck-typed against
-        #: :class:`repro.adversary.runtime`-style protocols; in practice a
+        #: Optional read-only run observer, duck-typed: ``on_firing(node,
+        #: time)`` and ``on_adversary(time, action)`` are required,
+        #: ``on_event(time, event)`` is optional -- a run decodes its queue
+        #: entries into :mod:`repro.simulation.events` dataclasses only for
+        #: an observer that defines it (in practice a
         #: :class:`repro.obs.capture.DesRunObserver`, injected by the DES
         #: engine when observability is enabled).  The default ``None`` keeps
         #: a single ``is None`` guard as the only cost -- the network itself
@@ -150,31 +210,12 @@ class HexNetwork:
         self.observer: Optional[object] = None
 
     # ------------------------------------------------------------------
-    # timer draws
-    # ------------------------------------------------------------------
-    def _draw_link_timeout(self) -> float:
-        if self.timer_policy is TimerPolicy.NOMINAL:
-            return self.timeouts.t_link_min
-        assert self.rng is not None
-        return float(self.rng.uniform(self.timeouts.t_link_min, self.timeouts.t_link_max))
-
-    def _draw_sleep_duration(self) -> float:
-        if self.timer_policy is TimerPolicy.NOMINAL:
-            return self.timeouts.t_sleep_min
-        assert self.rng is not None
-        return float(self.rng.uniform(self.timeouts.t_sleep_min, self.timeouts.t_sleep_max))
-
-    # ------------------------------------------------------------------
     # initialisation
     # ------------------------------------------------------------------
-    def _node_active(self, node: NodeId, time: float) -> bool:
-        """Whether ``node`` executes the algorithm at ``time`` (crash handling)."""
-        fault = self.faults.node_fault(node)
-        if fault is None:
-            return True
-        if fault.fault_type is FaultType.CRASH:
-            return time < fault.crash_time
-        return False
+    def _index(self, node: NodeId) -> int:
+        """Row-major node index (the plan's numbering)."""
+        layer, column = self.grid.validate_node(node)
+        return layer * self.grid.width + column
 
     def initialize(self) -> None:
         """Seed the event queue with the stuck-at-1 link assertions.
@@ -186,14 +227,8 @@ class HexNetwork:
         self._initialized = True
         for node in sorted(self._byzantine_high_inputs):
             for direction, source in self._byzantine_high_inputs[node]:
-                self.queue.schedule(
-                    0.0,
-                    MessageArrival(
-                        source=source,
-                        destination=node,
-                        direction=direction,
-                        from_byzantine_high=True,
-                    ),
+                self.queue.push(
+                    0.0, _HIGH, self._index(node), _IN_CODE[direction], self._index(source)
                 )
 
     def schedule_source_pulses(self, schedule: np.ndarray) -> None:
@@ -220,7 +255,7 @@ class HexNetwork:
                 time = schedule[pulse_index, column]
                 if not math.isfinite(time):
                     continue
-                self.queue.schedule(float(time), SourcePulse(node=source, pulse_index=pulse_index))
+                self.queue.push(float(time), _SOURCE, column, pulse_index)
 
     def apply_random_initial_states(self, rng: Optional[np.random.Generator] = None) -> None:
         """Put every correct forwarding node into a random internal state.
@@ -238,6 +273,7 @@ class HexNetwork:
             raise ValueError("a random generator is required for random initial states")
         for node in sorted(self.automata):
             automaton = self.automata[node]
+            index = self._index(node)
             sleeping = bool(generator.integers(0, 2))
             flags: Dict[Direction, float] = {}
             for direction in INCOMING_DIRECTIONS:
@@ -247,15 +283,14 @@ class HexNetwork:
             if sleeping:
                 wake_time = float(generator.uniform(0.0, self.timeouts.t_sleep_max))
                 automaton.force_state(NodePhase.SLEEPING, flags=flags, wake_time=wake_time)
-                self.queue.schedule(wake_time, WakeUp(node=node))
+                self.queue.push(wake_time, _WAKE, index)
             else:
                 automaton.force_state(NodePhase.READY, flags=flags)
             for direction, expiry in flags.items():
-                self.queue.schedule(expiry, FlagExpiry(node=node, direction=direction, expiry=expiry))
+                self.queue.push(expiry, _EXPIRY, index, _IN_CODE[direction], expiry)
         # Nodes whose arbitrary initial flags already satisfy a guard fire as
         # soon as the run starts.
-        for node in sorted(self.automata):
-            self._attempt_fire(node, 0.0)
+        self._execute(-math.inf, fire_ready_at=0.0)
 
     def apply_adversarial_initial_states(self) -> None:
         """Put every correct forwarding node into the adversarial initial state.
@@ -273,10 +308,9 @@ class HexNetwork:
             automaton = self.automata[node]
             flags = {direction: expiry for direction in INCOMING_DIRECTIONS}
             automaton.force_state(NodePhase.READY, flags=flags)
-            for direction in INCOMING_DIRECTIONS:
-                self.queue.schedule(expiry, FlagExpiry(node=node, direction=direction, expiry=expiry))
-        for node in sorted(self.automata):
-            self._attempt_fire(node, 0.0)
+            for code in range(len(INCOMING_DIRECTIONS)):
+                self.queue.push(expiry, _EXPIRY, self._index(node), code, expiry)
+        self._execute(-math.inf, fire_ready_at=0.0)
 
     # ------------------------------------------------------------------
     # dynamic adversary hooks (repro.adversary)
@@ -296,13 +330,13 @@ class HexNetwork:
         for time, action in actions:
             index = len(self._adversary_actions)
             self._adversary_actions.append(action)
-            self.queue.schedule(float(time), AdversaryAction(index=index))
+            self.queue.push(float(time), _ADVERSARY, index)
 
     def inject_node_fault(self, fault: NodeFault, time: float) -> None:
         """Make a node faulty from ``time`` on (dynamic fault injection).
 
-        The node's automaton (if any) stops executing -- :meth:`_node_active`
-        consults the *current* fault model -- and freshly stuck-at-1 outgoing
+        The node's automaton (if any) stops executing -- a run rebuilds its
+        fault view after every adversary action -- and freshly stuck-at-1 outgoing
         links start asserting themselves at ``time``.  Messages the node sent
         before ``time`` are already in flight and still arrive, exactly as in
         hardware.
@@ -350,8 +384,13 @@ class HexNetwork:
             self._byzantine_high_inputs[node] = entries
         else:
             self._byzantine_high_inputs.pop(node, None)
+        index = self._index(node)
         for direction, _source in entries:
-            self._reassert_byzantine_high(node, direction, time)
+            for high_direction, source in entries:
+                if high_direction is direction:
+                    self.queue.push(
+                        time, _HIGH, index, _IN_CODE[direction], self._index(source)
+                    )
 
     def flip_node_behavior(self, node: NodeId, time: float) -> None:
         """Toggle a Byzantine node's per-link constant-0/constant-1 outputs."""
@@ -404,14 +443,12 @@ class HexNetwork:
             return
         entries.append((direction, source))
         entries.sort(key=lambda item: item[0].value)
-        self.queue.schedule(
+        self.queue.push(
             float(time),
-            MessageArrival(
-                source=source,
-                destination=destination,
-                direction=direction,
-                from_byzantine_high=True,
-            ),
+            _HIGH,
+            self._index(destination),
+            _IN_CODE[direction],
+            self._index(source),
         )
 
     def _unregister_stuck_high_links(self, node: NodeId) -> None:
@@ -428,109 +465,6 @@ class HexNetwork:
             self._byzantine_high_inputs[destination] = remaining
         else:
             self._byzantine_high_inputs.pop(destination, None)
-
-    # ------------------------------------------------------------------
-    # event handlers
-    # ------------------------------------------------------------------
-    def _broadcast(self, source: NodeId, time: float) -> None:
-        """Send the trigger message of ``source`` on all its outgoing links."""
-        for _direction, destination in sorted(
-            self.grid.out_neighbors(source).items(), key=lambda item: item[0].value
-        ):
-            if destination[0] == 0:
-                continue
-            if destination not in self.automata:
-                continue
-            behavior = self.faults.link_behavior((source, destination), time=time)
-            if behavior is not LinkBehavior.CORRECT:
-                continue
-            arrival_time = time + self.delays.sample(source, destination)
-            self.queue.schedule(
-                arrival_time,
-                MessageArrival(
-                    source=source,
-                    destination=destination,
-                    direction=self.grid.direction_between(source, destination),
-                ),
-            )
-
-    def _attempt_fire(self, node: NodeId, time: float) -> Optional[FiringRecord]:
-        """Fire ``node`` if it is ready and a guard is satisfied."""
-        automaton = self.automata[node]
-        if automaton.phase is not NodePhase.READY or automaton.satisfied_guard() is None:
-            return None
-        if not self._node_active(node, time):
-            return None
-        record = automaton.try_fire(time, self._draw_sleep_duration())
-        assert record is not None
-        if self.observer is not None:
-            self.observer.on_firing(node, time)  # type: ignore[attr-defined]
-        self.queue.schedule(automaton.wake_time, WakeUp(node=node))
-        self._broadcast(node, time)
-        return record
-
-    def _reassert_byzantine_high(self, node: NodeId, direction: Direction, time: float) -> None:
-        """Re-schedule a stuck-at-1 arrival after its memory flag was cleared."""
-        for high_direction, source in self._byzantine_high_inputs.get(node, ()):
-            if high_direction is direction:
-                self.queue.schedule(
-                    time,
-                    MessageArrival(
-                        source=source,
-                        destination=node,
-                        direction=direction,
-                        from_byzantine_high=True,
-                    ),
-                )
-
-    def _handle(self, time: float, event: Event) -> None:
-        if isinstance(event, SourcePulse):
-            # Sources that turned faulty mid-run (dynamic injection / crash)
-            # stop generating; statically faulty sources were never scheduled.
-            if not self._node_active(event.node, time):
-                return
-            self.source_firings.append(
-                FiringRecord(node=event.node, time=time, guard=None)
-            )
-            if self.observer is not None:
-                self.observer.on_firing(event.node, time)  # type: ignore[attr-defined]
-            self._broadcast(event.node, time)
-        elif isinstance(event, MessageArrival):
-            if event.from_byzantine_high and self.faults.link_behavior(
-                (event.source, event.destination), time=time
-            ) is not LinkBehavior.CONSTANT_ONE:
-                # Stale assertion of a stuck-at-1 link that has since healed.
-                return
-            node = event.destination
-            automaton = self.automata.get(node)
-            if automaton is None or not self._node_active(node, time):
-                return
-            expiry = automaton.receive_trigger(event.direction, time, self._draw_link_timeout())
-            if expiry is not None:
-                self.queue.schedule(
-                    expiry, FlagExpiry(node=node, direction=event.direction, expiry=expiry)
-                )
-            self._attempt_fire(node, time)
-        elif isinstance(event, FlagExpiry):
-            automaton = self.automata.get(event.node)
-            if automaton is None:
-                return
-            if automaton.expire_flag(event.direction, event.expiry):
-                self._reassert_byzantine_high(event.node, event.direction, time)
-        elif isinstance(event, WakeUp):
-            automaton = self.automata.get(event.node)
-            if automaton is None:
-                return
-            if automaton.wake_up(time):
-                for direction, _source in self._byzantine_high_inputs.get(event.node, ()):
-                    self._reassert_byzantine_high(event.node, direction, time)
-        elif isinstance(event, AdversaryAction):
-            action = self._adversary_actions[event.index]
-            action.apply(self, time)  # type: ignore[attr-defined]
-            if self.observer is not None:
-                self.observer.on_adversary(time, action)  # type: ignore[attr-defined]
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown event type {type(event)!r}")
 
     # ------------------------------------------------------------------
     # execution
@@ -550,23 +484,225 @@ class HexNetwork:
         """
         if not self._initialized:
             self.initialize()
-        processed = 0
-        while self.queue:
-            next_time = self.queue.peek_time()
-            assert next_time is not None
-            if next_time > until:
-                break
-            time, event = self.queue.pop()
-            if self.observer is not None:
-                self.observer.on_event(time, event)  # type: ignore[attr-defined]
-            self._handle(time, event)
-            processed += 1
-            if self.queue.num_processed > self.max_events:
-                raise RuntimeError(
-                    f"event cap of {self.max_events} exceeded; "
-                    "check the fault model / timeout configuration for livelock"
-                )
-        return processed
+        return self._execute(until)
+
+    def _execute(self, until: float, fire_ready_at: Optional[float] = None) -> int:
+        """The compiled event loop behind :meth:`run`.
+
+        With ``fire_ready_at`` set, every ready node whose flags satisfy a
+        guard first fires at that time (in node order), as an arbitrary
+        initial state demands.  Node state is loaded from the automata into
+        a :class:`_RunState` and written back when the loop exits, normally
+        or by exception, and around every adversary action (whose body sees
+        the automata, queue and fault model exactly as between runs); the
+        action's mutations are picked up by reloading the state and
+        rebuilding the fault view.  All scalar draws go through the run's
+        block streams, closed (rewound to the exact scalar position) on exit.
+        """
+        queue = self.queue
+        heap = queue._heap
+        push = heapq.heappush
+        pop = heapq.heappop
+        check_time = queue.check_time
+        inf = math.inf
+        nodes = self._plan.nodes
+        state = _RunState(self)
+        sleeping = state.sleeping
+        mask = state.mask
+        expiry = state.expiry
+        wake = state.wake
+        records = state.records
+        deadline = state.deadline
+        out = state.out
+        high = state.high
+        link_behavior = self.faults.link_behavior
+        constant_one = LinkBehavior.CONSTANT_ONE
+        observer = self.observer
+        on_event = getattr(observer, "on_event", None)
+        on_firing = observer.on_firing if observer is not None else None  # type: ignore[attr-defined]
+        source_records = self.source_firings if self.record_firings else None
+        timeouts = self.timeouts
+        link_low, link_high = float(timeouts.t_link_min), float(timeouts.t_link_max)
+        sleep_low, sleep_high = float(timeouts.t_sleep_min), float(timeouts.t_sleep_max)
+        processed_base = queue.num_processed
+        limit = self.max_events - processed_base
+        popped = 0
+        seq = queue.num_scheduled
+        time = queue.now
+
+        with BlockDraws() as draws:
+            draw = None
+            if self.timer_policy is TimerPolicy.UNIFORM:
+                draw = draws.stream(self.rng).uniform  # type: ignore[arg-type]
+            sample = self.delays.sampler(draws)
+
+            def refuse(when: float, now: float) -> None:
+                queue._now = now
+                check_time(when)  # raises: the inline range check failed
+
+            def broadcast(index: int, now: float, lower: float) -> None:
+                nonlocal seq
+                links = out[index]
+                if links is None:
+                    links = self._live_links(index, now)
+                source = nodes[index]
+                for destination, code in links:
+                    arrival = float(now + sample(source, nodes[destination]))
+                    if not lower <= arrival < inf:
+                        refuse(arrival, now)
+                    push(heap, (arrival, seq, _ARRIVAL, destination, code, index))
+                    seq += 1
+
+            def fire(index: int, now: float, lower: float, flags: int) -> None:
+                nonlocal seq
+                duration = sleep_low if draw is None else draw(sleep_low, sleep_high)
+                if duration <= 0:
+                    raise ValueError(f"sleep duration must be positive, got {duration}")
+                log = records[index]
+                if log is not None:
+                    log.append(
+                        FiringRecord(
+                            node=nodes[index],
+                            time=now,
+                            guard=_GUARD[flags],
+                            memorized=_MEMORIZED[flags],
+                        )
+                    )
+                sleeping[index] = True
+                wake_time = now + duration
+                wake[index] = wake_time
+                if on_firing is not None:
+                    on_firing(nodes[index], now)
+                if not lower <= wake_time < inf:
+                    refuse(wake_time, now)
+                push(heap, (wake_time, seq, _WAKE, index, None, None))
+                seq += 1
+                broadcast(index, now, lower)
+
+            try:
+                if fire_ready_at is not None:
+                    lower = time - 1e-12
+                    for index in state.automaton_indices:
+                        flags = mask[index]
+                        if (
+                            not sleeping[index]
+                            and _GUARD[flags] is not None
+                            and fire_ready_at < deadline[index]
+                        ):
+                            fire(index, fire_ready_at, lower, flags)
+                while heap:
+                    if heap[0][0] > until:
+                        break
+                    time, _seq, kind, a, b, c = pop(heap)
+                    popped += 1
+                    if on_event is not None:
+                        on_event(time, self._decode(kind, a, b, c))
+                    if kind == _EXPIRY:
+                        bit = _BIT[b]
+                        if mask[a] & bit and abs(expiry[4 * a + b] - c) <= 1e-12:
+                            mask[a] ^= bit
+                            for code, source in high.get(a, ()):
+                                if code == b:
+                                    push(heap, (time, seq, _HIGH, a, b, source))
+                                    seq += 1
+                    elif kind == _ARRIVAL or kind == _HIGH:
+                        if time < deadline[a] and (
+                            kind == _ARRIVAL
+                            or link_behavior((nodes[c], nodes[a]), time=time) is constant_one
+                        ):
+                            timeout = link_low if draw is None else draw(link_low, link_high)
+                            if timeout <= 0:
+                                raise ValueError(f"link timeout must be positive, got {timeout}")
+                            flags = mask[a]
+                            bit = _BIT[b]
+                            if not flags & bit:
+                                flags |= bit
+                                mask[a] = flags
+                                expiry_time = time + timeout
+                                expiry[4 * a + b] = expiry_time
+                                if not time - 1e-12 <= expiry_time < inf:
+                                    refuse(expiry_time, time)
+                                push(heap, (expiry_time, seq, _EXPIRY, a, b, expiry_time))
+                                seq += 1
+                            if not sleeping[a] and _GUARD[flags] is not None:
+                                fire(a, time, time - 1e-12, flags)
+                    elif kind == _WAKE:
+                        if sleeping[a] and abs(wake[a] - time) <= 1e-9:
+                            sleeping[a] = False
+                            mask[a] = 0
+                            wake[a] = -inf
+                            entries = high.get(a, ())
+                            for code, _source in entries:
+                                for other_code, source in entries:
+                                    if other_code == code:
+                                        push(heap, (time, seq, _HIGH, a, code, source))
+                                        seq += 1
+                    elif kind == _SOURCE:
+                        # Sources that turned faulty mid-run (dynamic injection /
+                        # crash) stop generating; statically faulty sources were
+                        # never scheduled.
+                        if time < deadline[a]:
+                            if source_records is not None:
+                                source_records.append(
+                                    FiringRecord(node=nodes[a], time=time, guard=None)
+                                )
+                            if on_firing is not None:
+                                on_firing(nodes[a], time)
+                            broadcast(a, time, time - 1e-12)
+                    else:
+                        queue._now = time
+                        queue._num_scheduled = seq
+                        queue._num_processed = processed_base + popped
+                        state.store(self)
+                        action = self._adversary_actions[a]
+                        try:
+                            action.apply(self, time)  # type: ignore[attr-defined]
+                        finally:
+                            state.load(self)
+                            seq = queue.num_scheduled
+                        if observer is not None:
+                            observer.on_adversary(time, action)  # type: ignore[attr-defined]
+                    if popped > limit:
+                        raise RuntimeError(
+                            f"event cap of {self.max_events} exceeded; "
+                            "check the fault model / timeout configuration for livelock"
+                        )
+            finally:
+                queue._now = time
+                queue._num_scheduled = seq
+                queue._num_processed = processed_base + popped
+                state.store(self)
+        return popped
+
+    def _live_links(self, index: int, time: float) -> List[Tuple[int, int]]:
+        """Out-links of a source with a node fault, asking the live fault model."""
+        nodes = self._plan.nodes
+        source = nodes[index]
+        return [
+            (destination, code)
+            for destination, code, _layer, _column in self._plan.out_links[index]
+            if nodes[destination] in self.automata
+            and self.faults.link_behavior((source, nodes[destination]), time=time)
+            is LinkBehavior.CORRECT
+        ]
+
+    def _decode(self, kind: int, a: int, b: Any, c: Any) -> Event:
+        """The dataclass form of a queue entry, for observers with ``on_event``."""
+        nodes = self._plan.nodes
+        if kind == _ARRIVAL or kind == _HIGH:
+            return MessageArrival(
+                source=nodes[c],
+                destination=nodes[a],
+                direction=INCOMING_DIRECTIONS[b],
+                from_byzantine_high=kind == _HIGH,
+            )
+        if kind == _EXPIRY:
+            return FlagExpiry(node=nodes[a], direction=INCOMING_DIRECTIONS[b], expiry=c)
+        if kind == _WAKE:
+            return WakeUp(node=nodes[a])
+        if kind == _SOURCE:
+            return SourcePulse(node=nodes[a], pulse_index=b)
+        return AdversaryAction(index=a)
 
     # ------------------------------------------------------------------
     # results
@@ -606,3 +742,120 @@ class HexNetwork:
             if firings:
                 times[layer, column] = firings[0]
         return times
+
+
+class _RunState:
+    """Int-indexed node state and fault view of one :meth:`HexNetwork.run`.
+
+    Node state: ``sleeping``, the 4-bit flag ``mask`` (bit ``k`` = incoming
+    direction code ``k``), the four flag ``expiry`` times at ``4 * node +
+    code`` and the ``wake`` time; ``records`` holds each automaton's firing
+    list (``None`` while firings are not recorded).  Fault view: a node runs
+    the algorithm while ``time < deadline[node]`` (``inf`` for correct nodes,
+    the crash time of crash faults, ``-inf`` for other faults and for slots
+    without an automaton); ``out[node]`` lists the ``(destination, code)``
+    links a broadcast delivers on -- destinations with an automaton over
+    links the fault model calls ``CORRECT`` -- or is ``None`` for a source
+    with a node fault, whose links the loop checks against the live model;
+    ``high`` maps a node to the ``(code, source)`` stuck-at-1 links driving
+    it, in the registry's order: a cleared flag or a wake-up re-asserts them.
+
+    The loop holds references to the lists, so :meth:`load` refills them in
+    place; it rebuilds everything from the automata, the fault model and the
+    stuck-at-1 registry, which adversary actions are the only ones to change
+    mid-run.
+    """
+
+    def __init__(self, network: HexNetwork) -> None:
+        self.sleeping: List[bool] = []
+        self.mask: List[int] = []
+        self.expiry: List[float] = []
+        self.wake: List[float] = []
+        self.records: List[Optional[List[FiringRecord]]] = []
+        self.deadline: List[float] = []
+        self.out: List[Optional[Tuple[Tuple[int, int], ...]]] = []
+        self.high: Dict[int, List[Tuple[int, int]]] = {}
+        self.automaton_indices: List[int] = []
+        self.load(network)
+
+    def load(self, network: HexNetwork) -> None:
+        """Refill every list from the network's automata, faults and registry."""
+        plan = network._plan
+        width = plan.width
+        size = plan.num_nodes
+        record = network.record_firings
+        sleeping = [False] * size
+        mask = [0] * size
+        expiry = [0.0] * (4 * size)
+        wake = [-math.inf] * size
+        records: List[Optional[List[FiringRecord]]] = [None] * size
+        deadline = [math.inf] * width + [-math.inf] * (size - width)
+        indices = []
+        for (layer, column), automaton in network.automata.items():
+            index = layer * width + column
+            indices.append(index)
+            sleeping[index] = automaton.phase is NodePhase.SLEEPING
+            flags = 0
+            for direction, time in automaton.flags.items():
+                code = _IN_CODE[direction]
+                flags |= _BIT[code]
+                expiry[4 * index + code] = time
+            mask[index] = flags
+            wake[index] = automaton.wake_time
+            if record:
+                records[index] = automaton.firings
+            deadline[index] = math.inf
+        faults = network.faults
+        faulty = set()
+        for node in faults.faulty_nodes():
+            index = node[0] * width + node[1]
+            faulty.add(index)
+            fault = faults.node_fault(node)
+            if index < width or node in network.automata:
+                deadline[index] = (
+                    fault.crash_time  # type: ignore[union-attr]
+                    if fault.fault_type is FaultType.CRASH  # type: ignore[union-attr]
+                    else -math.inf
+                )
+        present = set(indices)
+        cut = {
+            (source[0] * width + source[1], destination[0] * width + destination[1])
+            for source, destination in faults.faulty_links()
+        }
+        out: List[Optional[Tuple[Tuple[int, int], ...]]] = [
+            None
+            if index in faulty
+            else tuple(
+                (destination, code)
+                for destination, code, _layer, _column in links
+                if destination in present and (index, destination) not in cut
+            )
+            for index, links in enumerate(plan.out_links)
+        ]
+        self.high.clear()
+        for (layer, column), entries in network._byzantine_high_inputs.items():
+            self.high[layer * width + column] = [
+                (_IN_CODE[direction], source[0] * width + source[1])
+                for direction, source in entries
+            ]
+        self.sleeping[:] = sleeping
+        self.mask[:] = mask
+        self.expiry[:] = expiry
+        self.wake[:] = wake
+        self.records[:] = records
+        self.deadline[:] = deadline
+        self.out[:] = out
+        self.automaton_indices[:] = sorted(indices)
+
+    def store(self, network: HexNetwork) -> None:
+        """Write the node state back to the automata."""
+        width = network._plan.width
+        for (layer, column), automaton in network.automata.items():
+            index = layer * width + column
+            automaton.phase = NodePhase.SLEEPING if self.sleeping[index] else NodePhase.READY
+            flags = self.mask[index]
+            automaton.flags.clear()
+            for code, direction in enumerate(INCOMING_DIRECTIONS):
+                if flags & _BIT[code]:
+                    automaton.flags[direction] = self.expiry[4 * index + code]
+            automaton.wake_time = self.wake[index]

@@ -249,6 +249,57 @@ class TestStreamingMatchesPostHoc:
         )
         assert result.firing_times == {}
 
+    def test_streamed_epoch_retains_no_firing_records(self, monkeypatch):
+        import repro.engines.des as des_module
+        from repro.simulation.network import HexNetwork
+
+        built = []
+
+        class RecordingNetwork(HexNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        class CountingObserver:
+            firings = 0
+
+            def on_firing(self, node, time):
+                self.firings += 1
+
+            def on_adversary(self, time, action):
+                pass
+
+        monkeypatch.setattr(des_module, "HexNetwork", RecordingNetwork)
+        grid = HexGrid(layers=3, width=3)
+        timing = TimingConfig.paper_defaults()
+        timeouts = scenario_stabilization_timeouts(
+            Scenario.ZERO, 3, 3, 0, timing, extra_hops=grid.condition2_extra_hops()
+        )
+        schedule = generate_pulse_schedule(
+            PulseScheduleConfig(
+                scenario=Scenario.ZERO, num_pulses=5,
+                separation=timeouts.pulse_separation,
+            ),
+            3,
+            timing,
+            rng=np.random.default_rng(1),
+        )
+        observer = CountingObserver()
+        DesEngine().multi_pulse(
+            grid,
+            timing,
+            timeouts,
+            schedule,
+            rng=np.random.default_rng(2),
+            initial_states="clean",
+            observer=observer,
+            collect_firings=False,
+        )
+        (network,) = built
+        assert observer.firings == 5 * grid.num_nodes
+        assert network.source_firings == []
+        assert all(not automaton.firings for automaton in network.automata.values())
+
 
 class TestSoakCli:
     def _run(self, argv, capsys):
@@ -284,6 +335,22 @@ class TestSoakCli:
         code, out = self._run(argv + ["--resume"], capsys)
         assert code == 0
         assert "(2 resumed)" in out
+
+    def test_soak_metrics_carry_des_event_counts(self, tmp_path, capsys):
+        metrics = tmp_path / "soak-metrics.json"
+        code, _out = self._run(
+            [
+                "soak", "--quick",
+                "--layers", "3", "--width", "3",
+                "--pulses", "20", "--pulses-per-epoch", "10",
+                "--quiet", "--metrics-out", str(metrics),
+            ],
+            capsys,
+        )
+        assert code == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["des.events_processed"] > 0
+        assert counters["des.events_scheduled"] >= counters["des.events_processed"]
 
     def test_soak_json_output(self, capsys):
         code, out = self._run(
