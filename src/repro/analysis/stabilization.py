@@ -26,11 +26,11 @@ import numpy as np
 
 from repro.analysis.skew import inter_layer_skews, intra_layer_skews
 from repro.core.topology import HexGrid
-from repro.simulation.runner import MultiPulseResult
 
 __all__ = [
     "PulseAssignment",
     "assign_pulses",
+    "pulse_window_starts",
     "pulse_skew_ok",
     "stabilization_time",
 ]
@@ -75,21 +75,31 @@ class PulseAssignment:
     _early_firings: int = 0
 
 
-def assign_pulses(result: MultiPulseResult) -> PulseAssignment:
-    """Bin the firings of a multi-pulse run by pulse number.
+def pulse_window_starts(schedule: np.ndarray) -> np.ndarray:
+    """The pulse-window boundaries of a ``(num_pulses, W)`` source schedule.
 
-    The window of pulse ``k`` starts at the earliest layer-0 generation time of
-    pulse ``k`` (firings of layer-0 sources themselves are assigned by their
-    scheduled pulse index, which is exact by construction).
+    The window of pulse ``k`` starts at the earliest layer-0 generation time
+    of pulse ``k`` and runs up to the start of pulse ``k + 1`` (the last
+    window extends to infinity).  Raises ``ValueError`` when the starts are
+    not strictly increasing, since the binning would then be ambiguous.
     """
-    grid: HexGrid = result.grid
-    schedule = result.source_schedule
-    num_pulses = schedule.shape[0]
-    window_starts = np.array(
-        [float(np.nanmin(schedule[k, :])) for k in range(num_pulses)], dtype=float
-    )
+    window_starts = np.nanmin(schedule, axis=1).astype(float)
     if not np.all(np.diff(window_starts) > 0):
         raise ValueError("source schedule windows are not strictly increasing")
+    return window_starts
+
+
+def assign_pulses(result) -> PulseAssignment:
+    """Bin the firings of a multi-pulse run by pulse number.
+
+    ``result`` is a multi-pulse :class:`~repro.engines.base.RunResult`.
+    Firings are binned by :func:`pulse_window_starts` (firings of layer-0
+    sources themselves are assigned by their scheduled pulse index, which is
+    exact by construction).
+    """
+    grid: HexGrid = result.grid
+    window_starts = pulse_window_starts(result.source_schedule)
+    num_pulses = window_starts.size
 
     shape = (num_pulses, grid.layers + 1, grid.width)
     times = np.full(shape, np.nan, dtype=float)
@@ -164,7 +174,7 @@ def pulse_skew_ok(
 
 
 def stabilization_time(
-    result: MultiPulseResult,
+    result,
     intra_bound: Callable[[int], float],
     inter_bound: Optional[Callable[[int], float]] = None,
     assignment: Optional[PulseAssignment] = None,
@@ -174,7 +184,7 @@ def stabilization_time(
     Parameters
     ----------
     result:
-        The multi-pulse run.
+        The multi-pulse :class:`~repro.engines.base.RunResult`.
     intra_bound:
         The per-layer stable-skew bound ``sigma(f, l)`` (callable of the layer).
     inter_bound:

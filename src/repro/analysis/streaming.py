@@ -17,8 +17,8 @@ The mirrored definition, shared with ``SoakObserver``:
   rightly skipped -- so equivalence is only claimed fault-free);
 * each firing is assigned to pulse window ``k`` when it falls in
   ``[window_starts[k], window_starts[k + 1])``, the
-  :func:`repro.analysis.stabilization.assign_pulses` rule, with the last
-  window extending to infinity;
+  :func:`repro.analysis.stabilization.pulse_window_starts` rule of
+  ``assign_pulses``, with the last window extending to infinity;
 * the skew of window ``k`` is the maximum over layers with at least two
   observed firings of ``max - min`` within the layer, or ``nan`` when no
   layer has two.
@@ -28,26 +28,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulation.runner import MultiPulseResult
+from repro.analysis.stabilization import pulse_window_starts
 
 __all__ = ["pulse_skew_series"]
 
 
-def pulse_skew_series(result: MultiPulseResult) -> np.ndarray:
+def pulse_skew_series(result) -> np.ndarray:
     """Per-pulse max intra-layer firing spread of a multi-pulse run.
 
+    ``result`` is a multi-pulse :class:`~repro.engines.base.RunResult`.
     Returns an array of length ``num_pulses``: entry ``k`` is the largest
     ``max - min`` firing-time spread across forwarding layers with at least
     two firings in pulse window ``k``, or ``nan`` when no layer qualifies.
     """
     grid = result.grid
-    schedule = result.source_schedule
-    num_pulses = int(schedule.shape[0])
-    window_starts = np.array(
-        [float(np.nanmin(schedule[k, :])) for k in range(num_pulses)], dtype=float
-    )
-    if not np.all(np.diff(window_starts) > 0):
-        raise ValueError("source schedule windows are not strictly increasing")
+    window_starts = pulse_window_starts(result.source_schedule)
+    num_pulses = window_starts.size
 
     shape = (num_pulses, grid.layers + 1)
     mins = np.full(shape, np.inf, dtype=float)

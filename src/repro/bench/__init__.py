@@ -16,8 +16,9 @@ The perf trajectory of the reproduction runs through this package:
   ``hex-repro bench --compare``, comparing fresh medians against committed
   baselines with a tolerance percentage and the documented exit codes.
 
-The pytest wrappers under ``benchmarks/`` and the ``hex-repro bench`` CLI
-are both thin clients of this package.
+The parametrized pytest module ``benchmarks/test_bench_cases.py`` (one test
+per registered case) and the ``hex-repro bench`` CLI are both thin clients
+of this package.
 """
 
 from repro.bench.case import BenchCase, BenchSettings

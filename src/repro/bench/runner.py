@@ -241,7 +241,7 @@ def merge_case_result(
 ) -> Path:
     """Merge one case result into the suite's on-disk payload.
 
-    The pytest wrappers execute cases one test at a time (possibly a ``-k``
+    The pytest bench tests execute cases one at a time (possibly a ``-k``
     subset); read-modify-write keeps ``BENCH_<suite>.json`` complete
     whichever subset ran last, matching the historical behaviour of the
     topology benchmark module.

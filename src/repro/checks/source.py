@@ -10,7 +10,7 @@ Waiver syntax
 A finding is waived by a narrow inline comment on the offending line (or the
 line directly above it)::
 
-    from repro.engines.des import single_pulse_default_timeouts  # repro: allow-import[legacy shim]
+    from repro.obs import get_logger  # repro: allow-import[reason the edge is acceptable]
 
 The tag (``import``, ``random``, ``wall-clock``, ``json-dumps``,
 ``float-eq``, ``schema-literal``) must match the rule being waived, and the

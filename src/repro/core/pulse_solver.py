@@ -316,7 +316,6 @@ def solve_single_pulse(
     delays: LinkDelayProvider,
     fault_model: Optional[FaultModel] = None,
     byzantine_high_time: float = 0.0,
-    plan: Optional[SolverPlan] = None,
 ) -> PulseSolution:
     """Compute the firing time of every node for a single pulse wave.
 
@@ -338,17 +337,15 @@ def solve_single_pulse(
         The time at which a stuck-at-1 Byzantine link sets the receiver's
         memory flag.  The paper's testbench drives such links high from the
         start of the run, hence the default of 0.
-    plan:
-        The grid's :class:`SolverPlan`; defaults to the cached
-        :func:`solver_plan`.  Batch callers pass it once per grid.
 
     Returns
     -------
     PulseSolution
 
-    The sweep runs over the flat arrays of the plan.  A fault model is folded
-    in per run (:func:`_fault_view`), at a cost proportional to the number of
-    faults; the hot loop is the same for faulty and fault-free runs.
+    The sweep runs over the flat arrays of the grid's cached
+    :func:`solver_plan`, shared by every run on an equal grid.  A fault model
+    is folded in per run (:func:`_fault_view`), at a cost proportional to the
+    number of faults; the hot loop is the same for faulty and fault-free runs.
     """
     layer0 = np.asarray(layer0_times, dtype=float)
     if layer0.shape != (grid.width,):
@@ -357,8 +354,7 @@ def solve_single_pulse(
         )
     if fault_model is not None and fault_model.grid != grid:
         raise ValueError("fault model belongs to a different grid")
-    if plan is None:
-        plan = solver_plan(grid)
+    plan = solver_plan(grid)
 
     num_nodes, width = plan.num_nodes, plan.width
     trigger_flat = [math.inf] * num_nodes

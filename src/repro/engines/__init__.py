@@ -6,7 +6,7 @@ and compares the result against an H-tree clock-tree baseline.  This package
 makes that choice a first-class object instead of a stringly-typed keyword:
 
 * :class:`~repro.engines.base.Engine` -- the backend protocol
-  (``name``, ``capabilities``, ``run(spec, rng) -> RunResult``);
+  (``name``, ``capabilities``, ``run(spec) -> RunResult``);
 * :class:`~repro.engines.base.RunSpec` -- a frozen, JSON-round-trippable
   description of one run (grid, timing, scenario, faults, delay model,
   timeouts, timer policy, pulse schedule, seed-derivation coordinates);
@@ -15,7 +15,7 @@ makes that choice a first-class object instead of a stringly-typed keyword:
 * :func:`~repro.engines.registry.register_engine` /
   :func:`~repro.engines.registry.get_engine` /
   :func:`~repro.engines.registry.available_engines` -- the registry every
-  dispatch site (simulation shims, campaign executor, CLI) goes through.
+  dispatch site (campaign executor, experiments, CLI) goes through.
 
 Built-in engines: ``solver`` (:class:`SolverEngine`), ``des``
 (:class:`DesEngine`), ``clocktree`` (:class:`ClockTreeEngine`) and ``array``

@@ -391,7 +391,6 @@ class ArrayEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse",),
         supports_faults=False,
-        supports_explicit_inputs=False,
         supported_topologies=("cylinder", "torus", "patch", "degraded"),
         exactness="bit_identical",
         tolerance=1.0,
@@ -402,13 +401,13 @@ class ArrayEngine:
     # ------------------------------------------------------------------
     # spec execution
     # ------------------------------------------------------------------
-    def run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def run(self, spec: RunSpec) -> RunResult:
         """Execute a declarative single-pulse run (scenario-driven draws)."""
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.array.runs")
             self._require(spec)
             grid = spec.make_grid()
-            return self._execute([spec], grid, array_plan(grid), rng=rng)[0]
+            return self._execute([spec], grid, array_plan(grid))[0]
 
     def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Execute several runs, stacking same-grid specs into one tensor.
@@ -466,20 +465,18 @@ class ArrayEngine:
         specs: Sequence[RunSpec],
         grid: HexGrid,
         plan: ArrayPlan,
-        rng: Optional[np.random.Generator] = None,
     ) -> List[RunResult]:
         """Relax a same-grid block of specs as one stacked tensor.
 
-        Draw order per spec (from its own generator unless an explicit one is
-        supplied for a single run): layer-0 scenario times, then the delay
-        model.  Fault placement is skipped -- it draws nothing for the
-        fault-free specs this engine accepts.
+        Draw order per spec (from its own generator): layer-0 scenario times,
+        then the delay model.  Fault placement is skipped -- it draws nothing
+        for the fault-free specs this engine accepts.
         """
         timings = []
         layer0_rows = []
         per_spec_planes = []
         for spec in specs:
-            generator = rng if rng is not None else spec.rng()
+            generator = spec.rng()
             timing = spec.make_timing()
             layer0 = scenario_layer0_times(
                 spec.scenario, grid.width, timing, rng=generator

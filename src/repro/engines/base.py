@@ -9,14 +9,13 @@ This module defines the three value objects of the execution API:
   everything an engine needs to execute the run in any process, and hashes to
   a stable content key (the cache identity used by the campaign layer).
 
-* :class:`RunResult` -- the unified outcome of a run, subsuming the fields of
-  the historical ``SinglePulseResult`` / ``MultiPulseResult`` consumed by
-  :mod:`repro.analysis` (dense trigger times and correctness mask for
-  single-pulse runs; timeouts, source schedule and raw firing records for
+* :class:`RunResult` -- the unified outcome of a run, carrying what
+  :mod:`repro.analysis` consumes (dense trigger times and correctness mask
+  for single-pulse runs; timeouts, source schedule and raw firing records for
   multi-pulse runs) plus free-form per-engine ``metrics``.
 
 * :class:`Engine` -- the protocol every execution backend implements:
-  ``name``, ``capabilities`` and ``run(spec, rng) -> RunResult``.  Engines are
+  ``name``, ``capabilities`` and ``run(spec) -> RunResult``.  Engines are
   looked up by name through :mod:`repro.engines.registry`.
 
 Seed-derivation contract
@@ -27,8 +26,8 @@ alone as ``default_rng(SeedSequence(entropy=entropy, spawn_key=(run_index,)))``
 ``SeedSequence(entropy).spawn(n)``, and therefore exactly the stream of the
 historical ``ExperimentConfig.spawn_rngs(runs, salt)`` loops and of
 ``campaign.spec.RunTask.rng()``.  Engines draw *only* from that generator, in
-a documented order (see the engine modules), so a ``(spec, rng)`` pair fully
-determines the result bit-for-bit in any process.
+a documented order (see the engine modules), so a spec fully determines the
+result bit-for-bit in any process.
 """
 
 from __future__ import annotations
@@ -249,13 +248,6 @@ class EngineCapabilities:
         Workload kinds the engine can run (subset of :data:`KINDS`).
     supports_faults:
         Whether the engine honours a spec's fault injection parameters.
-    supports_explicit_inputs:
-        Whether the engine also exposes the imperative entry points taking
-        caller-supplied arrays (``single_pulse`` / ``multi_pulse``), which is
-        what the ``simulate_single_pulse`` / ``simulate_multi_pulse`` shims
-        need.  Defaults to ``False`` because the :class:`Engine` protocol
-        only requires ``run``; engines that implement the extra methods opt
-        in explicitly.
     supports_fault_schedules:
         Whether the engine executes the *dynamic* fault schedules of
         :mod:`repro.adversary` (timed inject/heal/crash/flip events).  Only
@@ -303,7 +295,6 @@ class EngineCapabilities:
 
     kinds: Tuple[str, ...]
     supports_faults: bool = True
-    supports_explicit_inputs: bool = False
     supports_fault_schedules: bool = False
     supported_topologies: Tuple[str, ...] = (DEFAULT_TOPOLOGY,)
     exactness: str = "tolerance"
@@ -368,8 +359,6 @@ class EngineCapabilities:
         elif self.supported_topologies != (DEFAULT_TOPOLOGY,):
             parts.append("topologies: " + ", ".join(self.supported_topologies))
         parts.append(self.exactness_summary())
-        if not self.supports_explicit_inputs:
-            parts.append("spec-only")
         return "; ".join(parts)
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -377,7 +366,6 @@ class EngineCapabilities:
         return {
             "kinds": list(self.kinds),
             "supports_faults": self.supports_faults,
-            "supports_explicit_inputs": self.supports_explicit_inputs,
             "supports_fault_schedules": self.supports_fault_schedules,
             "supported_topologies": list(self.supported_topologies),
             "exactness": self.exactness,
@@ -391,23 +379,17 @@ class EngineCapabilities:
 class Engine(Protocol):
     """The execution-backend protocol.
 
-    An engine turns a :class:`RunSpec` (plus an optional explicit generator)
-    into a :class:`RunResult`.  Implementations must draw randomness only from
-    the provided generator and in a stable, documented order, so that
-    ``(spec, rng)`` determines the result bit-for-bit.
+    An engine turns a :class:`RunSpec` into a :class:`RunResult`.
+    Implementations must draw randomness only from the spec's generator
+    (:meth:`RunSpec.rng`) and in a stable, documented order, so that the spec
+    determines the result bit-for-bit.
     """
 
     name: str
     capabilities: EngineCapabilities
 
-    def run(
-        self, spec: "RunSpec", rng: Optional[np.random.Generator] = None
-    ) -> "RunResult":
-        """Execute one run described by ``spec``.
-
-        When ``rng`` is ``None`` the engine derives the generator from the
-        spec's seed coordinates via :meth:`RunSpec.rng`.
-        """
+    def run(self, spec: "RunSpec") -> "RunResult":
+        """Execute one run described by ``spec``."""
         ...
 
     def run_batch(self, specs: Sequence["RunSpec"]) -> List["RunResult"]:
@@ -775,9 +757,8 @@ class RunResult:
 
     Single-pulse engines populate ``trigger_times`` / ``correct_mask`` /
     ``layer0_times`` (and, for the analytic solver, ``solution``); multi-pulse
-    runs populate ``timeouts`` / ``source_schedule`` / ``firing_times``.
-    Either way the result duck-types the historical ``SinglePulseResult`` /
-    ``MultiPulseResult`` interfaces that :mod:`repro.analysis` consumes.
+    runs populate ``timeouts`` / ``source_schedule`` / ``firing_times`` -- the
+    fields :mod:`repro.analysis` consumes.
 
     Attributes
     ----------
@@ -829,7 +810,7 @@ class RunResult:
     metrics: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # single-pulse accessors (SinglePulseResult interface)
+    # single-pulse accessors
     # ------------------------------------------------------------------
     def trigger_time(self, node: NodeId) -> float:
         """Firing time of one node (single-pulse runs on the hex grid)."""
@@ -847,7 +828,7 @@ class RunResult:
         return bool(np.all(np.isfinite(times[mask])))
 
     # ------------------------------------------------------------------
-    # multi-pulse accessors (MultiPulseResult interface)
+    # multi-pulse accessors
     # ------------------------------------------------------------------
     @property
     def num_pulses(self) -> int:

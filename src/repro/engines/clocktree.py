@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class ClockTreeEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse",),
         supports_faults=False,
-        supports_explicit_inputs=False,
         supported_topologies=("cylinder",),
         exactness="tolerance",
         tolerance=None,
@@ -147,12 +146,12 @@ class ClockTreeEngine:
         """Smallest H-tree recursion depth with at least ``num_endpoints`` sinks."""
         return max(1, math.ceil(math.log(max(1, num_endpoints), 4)))
 
-    def run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def run(self, spec: RunSpec) -> RunResult:
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.clocktree.runs")
-            return self._run(spec, rng)
+            return self._run(spec)
 
-    def _run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def _run(self, spec: RunSpec) -> RunResult:
         require_kind(self, spec)
         require_schedule_support(self, spec)
         require_topology_support(self, spec)
@@ -163,7 +162,7 @@ class ClockTreeEngine:
                 "repro.clocktree.faults.robustness_report for the structural "
                 "tree-fault analysis"
             )
-        generator = rng if rng is not None else spec.rng()
+        generator = spec.rng()
         grid = spec.make_grid()
         timing = spec.make_timing()
 

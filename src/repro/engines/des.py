@@ -120,7 +120,6 @@ class DesEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse", "multi_pulse"),
         supports_faults=True,
-        supports_explicit_inputs=True,
         supports_fault_schedules=True,
         supported_topologies=("*",),
         exactness="tolerance",
@@ -147,16 +146,16 @@ class DesEngine:
         exclude = fault_model.faulty_nodes() if fault_model is not None else ()
         return spec.fault_schedule.materialize(grid, rng, exclude=exclude)
 
-    def run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def run(self, spec: RunSpec) -> RunResult:
         """Execute a declarative run (scenario-driven draws)."""
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.des.runs")
-            return self._run(spec, rng)
+            return self._run(spec)
 
-    def _run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def _run(self, spec: RunSpec) -> RunResult:
         require_kind(self, spec)
         require_topology_support(self, spec)
-        generator = rng if rng is not None else spec.rng()
+        generator = spec.rng()
         grid = spec.make_grid()
         timing = spec.make_timing()
         timer_policy = TimerPolicy(spec.timer_policy)

@@ -2,8 +2,8 @@
 
 Engines register themselves once (the built-ins at package import time) and
 are looked up by name everywhere an execution semantics is chosen -- the
-``simulate_single_pulse`` / ``simulate_multi_pulse`` shims, the campaign
-executor and the CLI all dispatch through :func:`get_engine`, so an unknown
+campaign executor, the experiments and the CLI all dispatch through
+:func:`get_engine`, so an unknown
 engine name fails early with a message listing the registered ones instead of
 deep inside a run body.
 """

@@ -15,8 +15,8 @@ import numpy as np
 
 from repro import obs
 from repro.clocksource.scenarios import scenario_layer0_times
-from repro.core.parameters import TimeoutConfig, TimingConfig
-from repro.core.pulse_solver import solve_single_pulse, solver_plan
+from repro.core.parameters import TimingConfig
+from repro.core.pulse_solver import solve_single_pulse
 from repro.core.topology import HexGrid
 from repro.engines.base import (
     EngineCapabilities,
@@ -31,7 +31,6 @@ from repro.engines.base import (
 from repro.faults.models import FaultModel
 from repro.faults.placement import build_fault_model
 from repro.simulation.links import DelayModel, UniformRandomDelays
-from repro.simulation.network import TimerPolicy
 
 __all__ = ["SolverEngine"]
 
@@ -62,24 +61,43 @@ class SolverEngine:
     capabilities = EngineCapabilities(
         kinds=("single_pulse",),
         supports_faults=True,
-        supports_explicit_inputs=True,
         supported_topologies=("*",),
         exactness="bit_identical",
         description="analytic single-pulse fixed-point solver (exact under (C1)/(C2))",
     )
 
-    def run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def run(self, spec: RunSpec) -> RunResult:
         """Execute a declarative single-pulse run (scenario-driven draws)."""
         with obs.span("engine.run", engine=self.name, kind=spec.kind):
             obs.inc("engine.solver.runs")
-            return self._run(spec, rng)
+            return self._run(spec, spec.make_grid())
 
-    def _run(self, spec: RunSpec, rng: Optional[np.random.Generator] = None) -> RunResult:
+    def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
+        """Execute several single-pulse runs, sharing one grid per batch key.
+
+        Bit-identical to ``[run(spec) for spec in specs]`` (pinned by the
+        test suite): each distinct :func:`~repro.engines.base.batch_key`
+        builds its grid once, so fault placement reuses the grid's neighbour
+        tables, and every run on it shares the grid's cached
+        :func:`~repro.core.pulse_solver.solver_plan`.  Grid construction
+        consumes no randomness, so the sharing cannot perturb seeded draws.
+        """
+        with obs.span("engine.run_batch", engine=self.name, size=len(specs)):
+            obs.inc("engine.solver.runs", len(specs))
+            grids: Dict[Tuple[str, int, int], HexGrid] = {}
+            results: List[RunResult] = []
+            for spec in specs:
+                key = batch_key(spec)
+                if key not in grids:
+                    grids[key] = spec.make_grid()
+                results.append(self._run(spec, grids[key]))
+            return results
+
+    def _run(self, spec: RunSpec, grid: HexGrid) -> RunResult:
         require_kind(self, spec)
         require_schedule_support(self, spec)
         require_topology_support(self, spec)
-        generator = rng if rng is not None else spec.rng()
-        grid = spec.make_grid()
+        generator = spec.rng()
         timing = spec.make_timing()
         layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
         fault_model = build_fault_model(
@@ -100,71 +118,6 @@ class SolverEngine:
         result.spec = spec
         return result
 
-    def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Execute several single-pulse runs, sharing all RNG-free setup.
-
-        Bit-identical to ``[run(spec) for spec in specs]`` (pinned by the
-        test suite), but substantially faster for the common sweep shape --
-        many cells on the same grid:
-
-        * each distinct ``(topology, layers, width)`` builds its grid (and
-          the neighbour tables that dominate construction) exactly once;
-        * every spec, faulty or not, runs the plan-compiled flat-array sweep
-          of :func:`~repro.core.pulse_solver.solve_single_pulse`, whose
-          :class:`~repro.core.pulse_solver.SolverPlan` is likewise shared per
-          grid (a spec's faults are folded in per run).
-
-        Grid construction and plan compilation consume no randomness, so the
-        sharing cannot perturb seeded draws.
-        """
-        with obs.span("engine.run_batch", engine=self.name, size=len(specs)):
-            obs.inc("engine.solver.runs", len(specs))
-            return self._run_batch(specs)
-
-    def _run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        grids: Dict[Tuple[str, int, int], HexGrid] = {}
-        results: List[RunResult] = []
-        for spec in specs:
-            require_kind(self, spec)
-            require_schedule_support(self, spec)
-            require_topology_support(self, spec)
-            grid_key = batch_key(spec)
-            grid = grids.get(grid_key)
-            if grid is None:
-                grid = spec.make_grid()
-                grids[grid_key] = grid
-            generator = spec.rng()
-            timing = spec.make_timing()
-            layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
-            fault_model = build_fault_model(
-                grid,
-                spec.num_faults,
-                spec.make_fault_type(),
-                generator,
-                fixed_positions=spec.fixed_fault_positions,
-            )
-            delays = spec.make_delays(timing, generator, kind_default="uniform")
-            layer0 = validate_layer0(grid, layer0)
-            solution = solve_single_pulse(
-                grid, layer0, delays, fault_model=fault_model, plan=solver_plan(grid)
-            )
-            _record_solver_work(solution)
-            results.append(
-                RunResult(
-                    engine=self.name,
-                    kind="single_pulse",
-                    grid=grid,
-                    timing=timing,
-                    trigger_times=solution.trigger_times,
-                    correct_mask=solution.correct_mask,
-                    layer0_times=solution.layer0_times,
-                    solution=solution,
-                    fault_model=fault_model,
-                    spec=spec,
-                )
-            )
-        return results
-
     def single_pulse(
         self,
         grid: HexGrid,
@@ -174,14 +127,8 @@ class SolverEngine:
         rng: np.random.Generator,
         fault_model: Optional[FaultModel] = None,
         delays: Optional[DelayModel] = None,
-        timeouts: Optional[TimeoutConfig] = None,
-        timer_policy: TimerPolicy = TimerPolicy.UNIFORM,
     ) -> RunResult:
-        """Propagate one pulse wave with explicit inputs.
-
-        ``timeouts`` and ``timer_policy`` are accepted for interface parity
-        with the DES engine and ignored (the analytic solver has neither).
-        """
+        """Propagate one pulse wave with explicit inputs."""
         layer0 = validate_layer0(grid, layer0_times)
         if delays is None:
             delays = UniformRandomDelays(timing, rng)

@@ -6,8 +6,9 @@
   deterministic, per-link tables).
 * :mod:`repro.simulation.network` -- a HEX grid of node automata wired through
   delay channels, with fault injection and arbitrary initial states.
-* :mod:`repro.simulation.runner` -- high-level entry points: single-pulse and
-  multi-pulse runs, and seeded run sets.
+
+Runs are executed through the engine API (``get_engine(name).run(spec)``,
+see :mod:`repro.engines`), which builds on this substrate.
 """
 
 from repro.simulation.engine import EventQueue
@@ -19,12 +20,6 @@ from repro.simulation.links import (
     UniformRandomDelays,
 )
 from repro.simulation.network import HexNetwork, TimerPolicy
-from repro.simulation.runner import (
-    MultiPulseResult,
-    SinglePulseResult,
-    simulate_multi_pulse,
-    simulate_single_pulse,
-)
 
 __all__ = [
     "DelayModel",
@@ -35,8 +30,4 @@ __all__ = [
     "EventQueue",
     "HexNetwork",
     "TimerPolicy",
-    "simulate_single_pulse",
-    "simulate_multi_pulse",
-    "SinglePulseResult",
-    "MultiPulseResult",
 ]

@@ -214,6 +214,24 @@ class TestLayering:
             package = package_of(module.module)
             assert package in LAYER_DAG or package == "checks.schemas", module.module
 
+    def test_simulation_and_analysis_never_import_engines(self):
+        """No upward import into the engines from the layers below them.
+
+        Scans the source rather than ``sys.modules``: importing any subpackage
+        runs the ``repro`` facade, which imports the engines anyway.  Waived
+        imports count too.
+        """
+        from repro.checks.registry import default_root
+
+        upward = [
+            (module.module, line, target)
+            for module in scan_package(default_root())
+            if package_of(module.module) in ("simulation", "analysis")
+            for line, target in module.repro_imports()
+            if target == "repro.engines" or target.startswith("repro.engines.")
+        ]
+        assert upward == []
+
 
 # ----------------------------------------------------------------------
 # determinism rules

@@ -245,7 +245,7 @@ class TestDesCapture:
         engine = get_engine("des")
         trace = tmp_path / "run.jsonl"
         with obs.observed(trace=trace, des_events=True) as session:
-            result = engine.run(spec, np.random.default_rng(99))
+            result = engine.run(spec)
         counters = session.registry.snapshot()["counters"]
         assert counters["engine.des.runs"] == 1.0
         assert counters["des.events_processed"] > 0
@@ -276,7 +276,7 @@ class TestDesCapture:
         )
         engine = get_engine("des")
         with obs.observed(trace=tmp_path / "adv.jsonl", des_events=True) as session:
-            engine.run(spec, np.random.default_rng(7))
+            engine.run(spec)
         counters = session.registry.snapshot()["counters"]
         assert counters["des.adversary"] == 4.0  # 2 injections + 2 heals
         assert counters["des.faults_injected"] == 2.0

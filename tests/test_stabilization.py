@@ -8,8 +8,9 @@ import pytest
 from repro.analysis.stabilization import assign_pulses, pulse_skew_ok, stabilization_time
 from repro.clocksource.generator import PulseScheduleConfig, generate_pulse_schedule
 from repro.core.topology import HexGrid
+from repro.engines import RunResult, get_engine
+from repro.engines.des import single_pulse_default_timeouts
 from repro.faults.models import FaultModel, NodeFault
-from repro.simulation.runner import MultiPulseResult, default_timeouts, simulate_multi_pulse
 
 
 @pytest.fixture
@@ -18,7 +19,7 @@ def grid() -> HexGrid:
 
 
 def _synthetic_result(grid, timing, timeouts, schedule, per_layer_offsets):
-    """Build a MultiPulseResult with analytically known firing times.
+    """Build a multi-pulse RunResult with analytically known firing times.
 
     Every node of layer ``l`` fires ``per_layer_offsets[l]`` after the earliest
     layer-0 time of the pulse.
@@ -30,7 +31,9 @@ def _synthetic_result(grid, timing, timeouts, schedule, per_layer_offsets):
             base = float(np.min(schedule[pulse]))
             times.append(base + per_layer_offsets[layer])
         firing_times[(layer, column)] = times
-    return MultiPulseResult(
+    return RunResult(
+        engine="des",
+        kind="multi_pulse",
         grid=grid,
         timing=timing,
         timeouts=timeouts,
@@ -41,7 +44,7 @@ def _synthetic_result(grid, timing, timeouts, schedule, per_layer_offsets):
 
 class TestAssignPulses:
     def test_clean_assignment(self, grid, timing):
-        timeouts = default_timeouts(grid, timing)
+        timeouts = single_pulse_default_timeouts(grid, timing)
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="i", num_pulses=3, separation=timeouts.pulse_separation),
             grid.width,
@@ -56,7 +59,7 @@ class TestAssignPulses:
         assert np.all(np.isfinite(assignment.times))
 
     def test_spurious_early_firings_are_not_assigned(self, grid, timing):
-        timeouts = default_timeouts(grid, timing)
+        timeouts = single_pulse_default_timeouts(grid, timing)
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="i", num_pulses=2, separation=timeouts.pulse_separation),
             grid.width,
@@ -73,7 +76,7 @@ class TestAssignPulses:
         assert np.all(assignment.counts[:, 3, 2] == 1)
 
     def test_double_firing_marks_pulse_ambiguous(self, grid, timing):
-        timeouts = default_timeouts(grid, timing)
+        timeouts = single_pulse_default_timeouts(grid, timing)
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="i", num_pulses=2, separation=timeouts.pulse_separation),
             grid.width,
@@ -89,7 +92,7 @@ class TestAssignPulses:
         assert np.isnan(assignment.times[0, 2, 2])
 
     def test_faulty_nodes_are_skipped(self, grid, timing):
-        timeouts = default_timeouts(grid, timing)
+        timeouts = single_pulse_default_timeouts(grid, timing)
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="i", num_pulses=2, separation=timeouts.pulse_separation),
             grid.width,
@@ -105,7 +108,7 @@ class TestAssignPulses:
 
 class TestStabilizationTime:
     def test_perfect_run_stabilizes_at_pulse_one(self, grid, timing):
-        timeouts = default_timeouts(grid, timing)
+        timeouts = single_pulse_default_timeouts(grid, timing)
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="i", num_pulses=4, separation=timeouts.pulse_separation),
             grid.width,
@@ -117,7 +120,7 @@ class TestStabilizationTime:
         assert stabilization_time(result, intra_bound=lambda layer: timing.d_max) == 1
 
     def test_violating_early_pulse_delays_stabilization(self, grid, timing):
-        timeouts = default_timeouts(grid, timing)
+        timeouts = single_pulse_default_timeouts(grid, timing)
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="i", num_pulses=4, separation=timeouts.pulse_separation),
             grid.width,
@@ -133,7 +136,7 @@ class TestStabilizationTime:
         assert estimate == 2
 
     def test_never_stabilizing_run_returns_none(self, grid, timing):
-        timeouts = default_timeouts(grid, timing)
+        timeouts = single_pulse_default_timeouts(grid, timing)
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="i", num_pulses=3, separation=timeouts.pulse_separation),
             grid.width,
@@ -180,15 +183,18 @@ class TestEndToEndStabilization:
     def test_des_run_from_random_states_stabilizes(self, timing):
         """A full DES run from arbitrary states stabilizes within a few pulses."""
         grid = HexGrid(layers=8, width=6)
-        timeouts = default_timeouts(grid, timing, num_faults=0, layer0_spread=timing.d_max)
+        timeouts = single_pulse_default_timeouts(
+            grid, timing, num_faults=0, layer0_spread=timing.d_max
+        )
         schedule = generate_pulse_schedule(
             PulseScheduleConfig(scenario="iii", num_pulses=6, separation=timeouts.pulse_separation),
             grid.width,
             timing,
             seed=4,
         )
-        result = simulate_multi_pulse(
-            grid, timing, timeouts, schedule, seed=11, random_initial_states=True
+        result = get_engine("des").multi_pulse(
+            grid, timing, timeouts, schedule, rng=np.random.default_rng(11),
+            random_initial_states=True,
         )
         estimate = stabilization_time(
             result, intra_bound=lambda layer: 3 * timing.d_max
