@@ -14,7 +14,8 @@ let the layer-0 sources generate a sequence of pulses.  Post-processing then
 
 The per-layer skew bound ``sigma(f, l)`` is parameterised by the paper's
 ``C in {0, 1, 2, 3}`` choices (see
-:func:`repro.core.bounds.stable_skew_choice`).
+:func:`repro.core.bounds.stable_skew_choice`); :func:`sigma_bound` adds the
+topology's lateral-trigger margin and is the one place that builds it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.analysis.skew import inter_layer_skews, intra_layer_skews
+from repro.core.bounds import stable_skew_choice
+from repro.core.parameters import TimingConfig
 from repro.core.topology import HexGrid
 
 __all__ = [
@@ -32,6 +35,8 @@ __all__ = [
     "assign_pulses",
     "pulse_window_starts",
     "pulse_skew_ok",
+    "sigma_bound",
+    "pulse_ok_flags",
     "stabilization_time",
 ]
 
@@ -173,34 +178,52 @@ def pulse_skew_ok(
     return True
 
 
-def stabilization_time(
+def sigma_bound(
+    grid: HexGrid,
+    timing: TimingConfig,
+    choice: int,
+    num_faults: int,
+    layer0_spread: float,
+) -> Callable[[int], float]:
+    """The per-layer stable-skew bound ``sigma(f, l)`` of skew choice ``C``.
+
+    :func:`repro.core.bounds.stable_skew_choice` plus the topology's
+    lateral-trigger margin (0 on the cylinder): the bounds are derived for
+    centrally-triggered nodes, and rim/hole-adjacent nodes legitimately run
+    about one ``d+`` behind per structural obstacle -- the same margin the
+    DES engine charges on its Condition 2 timeouts (see
+    :meth:`~repro.core.topology.HexGrid.condition2_extra_hops`).
+    """
+    extra_skew = grid.condition2_extra_hops() * timing.d_max
+
+    def bound(layer: int) -> float:
+        return extra_skew + stable_skew_choice(
+            choice, timing, grid.layers, layer, num_faults, layer0_spread=layer0_spread
+        )
+
+    return bound
+
+
+def pulse_ok_flags(
     result,
     intra_bound: Callable[[int], float],
     inter_bound: Optional[Callable[[int], float]] = None,
     assignment: Optional[PulseAssignment] = None,
-) -> Optional[int]:
-    """Estimate the stabilization time of a multi-pulse run.
+) -> np.ndarray:
+    """Per-pulse flags of a multi-pulse run: :func:`pulse_skew_ok` of each pulse.
 
     Parameters
     ----------
     result:
         The multi-pulse :class:`~repro.engines.base.RunResult`.
     intra_bound:
-        The per-layer stable-skew bound ``sigma(f, l)`` (callable of the layer).
+        The per-layer stable-skew bound ``sigma(f, l)`` (callable of the
+        layer; see :func:`sigma_bound`).
     inter_bound:
         The per-layer inter-layer bound ``sigma-hat(f, l)``; defaults to
         ``sigma(f, l) + d+`` per Theorem 1's inter-layer relation.
     assignment:
         Re-use a precomputed :func:`assign_pulses` result.
-
-    Returns
-    -------
-    Optional[int]
-        The 1-based index of the first pulse from which on *all* observed
-        pulses satisfy the bounds, or ``None`` if the run did not stabilize
-        within the observed pulses.  A return value of 1 means the system was
-        within bounds from the very first pulse, matching the paper's reading
-        of Figs. 18/19.
     """
     if inter_bound is None:
         d_max = result.timing.d_max
@@ -231,11 +254,29 @@ def stabilization_time(
             intra_bound,
             inter_bound,
         )
+    return ok
+
+
+def stabilization_time(
+    result,
+    intra_bound: Callable[[int], float],
+    inter_bound: Optional[Callable[[int], float]] = None,
+    assignment: Optional[PulseAssignment] = None,
+) -> Optional[int]:
+    """Estimate the stabilization time of a multi-pulse run.
+
+    The arguments are those of :func:`pulse_ok_flags`.  Returns the 1-based
+    index of the first pulse from which on *all* observed pulses satisfy the
+    bounds, or ``None`` if the run did not stabilize within the observed
+    pulses.  A return value of 1 means the system was within bounds from the
+    very first pulse, matching the paper's reading of Figs. 18/19.
+    """
+    ok = pulse_ok_flags(result, intra_bound, inter_bound, assignment)
     # The stabilization time is the first pulse after the last violating pulse.
     violations = np.where(~ok)[0]
     if violations.size == 0:
         return 1
     first_stable = int(violations[-1]) + 1
-    if first_stable >= assignment.num_pulses:
+    if first_stable >= ok.size:
         return None
     return first_stable + 1

@@ -40,13 +40,12 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.skew import SkewStatistics
-from repro.analysis.stabilization import stabilization_time
+from repro.analysis.stabilization import sigma_bound, stabilization_time
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.records import RunRecord, group_by_point, pooled_statistics, stabilization_times
 from repro.campaign.spec import CampaignSpec, RunTask
 from repro.campaign.store import CampaignStore
 from repro.clocksource.scenarios import parse_scenario
-from repro.core.bounds import stable_skew_choice
 from repro.engines import Engine, get_engine
 from repro.engines.des import scenario_layer0_spread
 from repro.stream import StreamingMoments, StreamingQuantiles
@@ -56,7 +55,7 @@ __all__ = ["execute_task", "execute_task_batch", "CampaignResult", "CampaignRunn
 
 def _single_pulse_record(task: RunTask, result) -> RunRecord:
     fault_model = result.fault_model
-    mask = fault_model.correctness_mask() if fault_model is not None else None
+    mask = result.analysis_mask()
     # The clock-tree engine reports a sink-array matrix whose shape differs
     # from the hex grid's; its rows/columns are plain physical adjacency, so
     # the (wrapping) default applies.  Hex grids report their own wrap flag.
@@ -88,28 +87,12 @@ def _execute_multi_pulse(task: RunTask, engine: Engine) -> RunRecord:
         # back to the discrete-event backend as the historical bodies did.
         engine = get_engine("des")
     result = engine.run(task.to_run_spec())
-    grid = result.grid
-    timing = result.timing
+    grid, timing = result.grid, result.timing
+    spread = scenario_layer0_spread(parse_scenario(task.scenario), grid.width, timing)
+    estimate = stabilization_time(
+        result, sigma_bound(grid, timing, task.skew_choice, task.num_faults, spread)
+    )
     fault_model = result.fault_model
-
-    layer0_spread = scenario_layer0_spread(parse_scenario(task.scenario), grid.width, timing)
-    # Lateral-trigger margin of the topology (0 on the cylinder): the sigma
-    # bounds are derived for centrally-triggered nodes, and rim/hole-adjacent
-    # nodes legitimately run about one d+ behind per structural obstacle --
-    # the same margin the DES engine charges on its Condition 2 timeouts.
-    extra_skew = grid.condition2_extra_hops() * timing.d_max
-
-    def intra_bound(layer: int) -> float:
-        return extra_skew + stable_skew_choice(
-            task.skew_choice,
-            timing,
-            grid.layers,
-            layer,
-            task.num_faults,
-            layer0_spread=layer0_spread,
-        )
-
-    estimate = stabilization_time(result, intra_bound)
     faulty = tuple(fault_model.faulty_nodes()) if fault_model is not None else ()
     return RunRecord(
         key=task.key(),

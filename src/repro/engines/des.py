@@ -8,15 +8,19 @@ stabilization workload of Section 4.4.
 Draw order (the reproducibility contract, identical to the historical
 ``execute_task`` bodies):
 
-* single-pulse -- layer-0 firing times, fault placement/behaviour, then link
-  delays and timer draws inside the simulation;
-* multi-pulse -- fault placement/behaviour, the pulse schedule, then the
-  simulation's own draws (initial states, timers, per-message delays).
+* single-pulse -- layer-0 firing times, fault placement/behaviour, the fault
+  schedule (if any), then link delays and timer draws inside the simulation;
+* multi-pulse -- fault placement/behaviour, the fault schedule (if any), the
+  pulse schedule, then the simulation's own draws (initial states, timers,
+  per-message delays).
+
+Both kinds run through one body, :meth:`DesEngine._simulate`; a single
+pulse is a one-row source schedule from clean initial states.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from repro.core.bounds import lemma5_pulse_skew_bound
 from repro.core.parameters import TimeoutConfig, TimingConfig, condition2_timeouts
 from repro.core.topology import HexGrid, NodeId
 from repro.engines.base import (
+    INITIAL_STATES,
     EngineCapabilities,
     RunResult,
     RunSpec,
@@ -54,7 +59,6 @@ def single_pulse_default_timeouts(
     timing: TimingConfig,
     num_faults: int = 0,
     layer0_spread: float = 0.0,
-    signal_duration: float = 0.0,
 ) -> TimeoutConfig:
     """Conservative Condition 2 timeouts from the Lemma 5 stable-skew bound.
 
@@ -70,11 +74,7 @@ def single_pulse_default_timeouts(
     )
     stable_skew += grid.condition2_extra_hops() * timing.d_max
     return condition2_timeouts(
-        timing,
-        stable_skew=stable_skew,
-        layers=grid.layers,
-        num_faults=num_faults,
-        signal_duration=signal_duration,
+        timing, stable_skew=stable_skew, layers=grid.layers, num_faults=num_faults
     )
 
 
@@ -96,17 +96,22 @@ def scenario_stabilization_timeouts(
     timing: TimingConfig,
     extra_hops: int = 0,
 ) -> TimeoutConfig:
-    """Condition 2 timeouts from the conservative Lemma 5 stable-skew bound.
+    """Condition 2 timeouts of a stabilization run from the Lemma 5 bound.
 
-    Mirrors :func:`repro.experiments.stability.scenario_timeouts` without
-    depending on the experiments layer.  ``extra_hops`` is the topology's
-    lateral-trigger margin (see
-    :meth:`~repro.core.topology.HexGrid.condition2_extra_hops`); the default
-    of 0 keeps every cylinder caller byte-identical.
+    The stable skew is Lemma 5's bound with the scenario's maximum layer-0
+    spread (``0``, ``d-``, ``d+`` or ``W/2 * d+`` for scenarios (i)-(iv)),
+    charging the topology's lateral-trigger margin ``extra_hops`` (see
+    :meth:`~repro.core.topology.HexGrid.condition2_extra_hops`) as extra
+    faults; the default of 0 is the cylinder's.  Unlike
+    :func:`single_pulse_default_timeouts`, the margin is added to ``f``
+    before the multiplication by ``d+`` -- the two forms differ in the last
+    ulp for some inputs, and recorded runs pin each.
     """
-    spread = scenario_layer0_spread(scenario, width, timing)
-    stable_skew = (
-        spread + timing.epsilon * layers + (num_faults + extra_hops) * timing.d_max
+    stable_skew = lemma5_pulse_skew_bound(
+        timing,
+        layers,
+        num_faults + extra_hops,
+        layer0_spread=scenario_layer0_spread(scenario, width, timing),
     )
     return condition2_timeouts(
         timing, stable_skew=stable_skew, layers=layers, num_faults=num_faults
@@ -158,33 +163,9 @@ class DesEngine:
         generator = spec.rng()
         grid = spec.make_grid()
         timing = spec.make_timing()
-        timer_policy = TimerPolicy(spec.timer_policy)
-
-        if spec.kind == "single_pulse":
+        single = spec.kind == "single_pulse"
+        if single:
             layer0 = scenario_layer0_times(spec.scenario, grid.width, timing, rng=generator)
-            fault_model = build_fault_model(
-                grid,
-                spec.num_faults,
-                spec.make_fault_type(),
-                generator,
-                fixed_positions=spec.fixed_fault_positions,
-            )
-            adversary = self._materialize_schedule(spec, grid, fault_model, generator)
-            result = self.single_pulse(
-                grid,
-                timing,
-                layer0,
-                rng=generator,
-                fault_model=fault_model,
-                delays=spec.make_delays(timing, generator, kind_default="uniform"),
-                timeouts=spec.make_timeouts(),
-                timer_policy=timer_policy,
-                adversary=adversary,
-            )
-            result.spec = spec
-            return result
-
-        scenario = Scenario(spec.scenario)
         fault_model = build_fault_model(
             grid,
             spec.num_faults,
@@ -193,7 +174,24 @@ class DesEngine:
             fixed_positions=spec.fixed_fault_positions,
         )
         adversary = self._materialize_schedule(spec, grid, fault_model, generator)
+        timer_policy = TimerPolicy(spec.timer_policy)
         timeouts = spec.make_timeouts()
+        if single:
+            result = self.single_pulse(
+                grid,
+                timing,
+                layer0,
+                rng=generator,
+                fault_model=fault_model,
+                delays=spec.make_delays(timing, generator, kind_default="uniform"),
+                timeouts=timeouts,
+                timer_policy=timer_policy,
+                adversary=adversary,
+            )
+            result.spec = spec
+            return result
+
+        scenario = Scenario(spec.scenario)
         if timeouts is None:
             timeouts = scenario_stabilization_timeouts(
                 scenario,
@@ -221,7 +219,6 @@ class DesEngine:
             rng=generator,
             fault_model=fault_model,
             delays=spec.make_delays(timing, generator, kind_default="fresh"),
-            random_initial_states=spec.random_initial_states,
             timer_policy=timer_policy,
             run_slack=spec.run_slack,
             adversary=adversary,
@@ -240,168 +237,31 @@ class DesEngine:
         with obs.span("engine.run_batch", engine=self.name, size=len(specs)):
             return generic_run_batch(self, specs)
 
-    def single_pulse(
-        self,
-        grid: HexGrid,
-        timing: TimingConfig,
-        layer0_times: Sequence[float],
-        *,
-        rng: np.random.Generator,
-        fault_model: Optional[FaultModel] = None,
-        delays: Optional[DelayModel] = None,
-        timeouts: Optional[TimeoutConfig] = None,
-        timer_policy: TimerPolicy = TimerPolicy.UNIFORM,
-        adversary: Optional[ScheduledAdversary] = None,
-        observer: Optional[object] = None,
-    ) -> RunResult:
-        """Propagate one pulse wave through the full state machines.
-
-        ``observer`` replaces the default :func:`repro.obs.des_observer` hook
-        with a caller-supplied network observer (duck-typed ``on_firing`` /
-        ``on_adversary``, optionally ``on_event``); the caller then owns
-        whatever the observer accumulated -- ``repro.obs`` records only the
-        queue's ``des.events_scheduled`` / ``des.events_processed`` counters.
-        """
-        layer0 = validate_layer0(grid, layer0_times)
-        if delays is None:
-            delays = UniformRandomDelays(timing, rng)
-        num_faults = fault_model.num_faulty_nodes if fault_model is not None else 0
-        if timeouts is None:
-            spread = float(np.nanmax(layer0) - np.nanmin(layer0)) if layer0.size else 0.0
-            timeouts = single_pulse_default_timeouts(
-                grid, timing, num_faults=num_faults, layer0_spread=spread
-            )
-        network = HexNetwork(
-            grid=grid,
-            timing=timing,
-            timeouts=timeouts,
-            delays=delays,
-            fault_model=fault_model,
-            rng=rng,
-            timer_policy=timer_policy,
-        )
-        custom_observer = observer is not None
-        network.observer = observer if custom_observer else obs.des_observer()
-        network.initialize()
-        if adversary is not None:
-            adversary.install(network)
-        network.schedule_source_pulses(layer0[np.newaxis, :])
-        # Byzantine stuck-at-1 links re-assert themselves forever, so the run
-        # must be bounded; by Lemma 5 every correct node that fires at all does
-        # so within (L + f) d+ of the last layer-0 firing -- plus the
-        # topology's lateral-trigger margin (0 on the cylinder).
-        propagation_hops = grid.layers + grid.condition2_extra_hops() + num_faults + 2
-        horizon = (
-            float(np.nanmax(layer0))
-            + propagation_hops * timing.d_max
-            + timeouts.t_sleep_max
-        )
-        if adversary is not None:
-            # Cover late schedule events plus one full propagation afterwards.
-            horizon = max(
-                horizon,
-                adversary.last_time
-                + propagation_hops * timing.d_max
-                + timeouts.t_sleep_max,
-            )
-        network.run(until=horizon)
-        obs.record_des_observer(
-            None if custom_observer else network.observer,
-            events_scheduled=network.queue.num_scheduled,
-            events_processed=network.queue.num_processed,
-        )
-        trigger_times = network.first_firing_matrix()
-        final_model = self._final_fault_model(network, fault_model, adversary)
-        correct_mask = (
-            final_model.correctness_mask()
-            if final_model is not None
-            else np.ones(grid.shape, dtype=bool)
-        )
-        correct_mask &= grid.presence_mask()
-        result = RunResult(
-            engine=self.name,
-            kind="single_pulse",
-            grid=grid,
-            timing=timing,
-            trigger_times=trigger_times,
-            correct_mask=correct_mask,
-            layer0_times=layer0.copy(),
-            solution=None,
-            fault_model=final_model,
-            timeouts=timeouts,
-        )
-        if adversary is not None:
-            result.metrics["adversary_actions"] = float(adversary.num_actions)
-            result.metrics["adversary_last_time"] = float(adversary.last_time)
-        return result
-
-    @staticmethod
-    def _final_fault_model(
-        network: HexNetwork,
-        fault_model: Optional[FaultModel],
-        adversary: Optional[ScheduledAdversary],
-    ) -> Optional[FaultModel]:
-        """The fault model describing the *end-of-run* state.
-
-        Static runs report the caller's model unchanged; schedule-driven runs
-        report the network's live (mutated) model, normalised to ``None``
-        when every fault has healed -- matching the fault-free convention the
-        analysis layer expects.
-        """
-        if adversary is None:
-            return fault_model
-        final = network.faults
-        if final.num_faulty_nodes == 0 and not final.faulty_links():
-            return None
-        return final
-
-    def multi_pulse(
+    def _simulate(
         self,
         grid: HexGrid,
         timing: TimingConfig,
         timeouts: TimeoutConfig,
-        source_schedule: Union[np.ndarray, Sequence[Sequence[float]]],
+        schedule: np.ndarray,
         *,
         rng: np.random.Generator,
-        fault_model: Optional[FaultModel] = None,
-        delays: Optional[DelayModel] = None,
-        random_initial_states: bool = True,
-        timer_policy: TimerPolicy = TimerPolicy.UNIFORM,
-        run_slack: float = 0.0,
-        adversary: Optional[ScheduledAdversary] = None,
-        initial_states: Optional[str] = None,
-        observer: Optional[object] = None,
-        collect_firings: bool = True,
-    ) -> RunResult:
-        """Run the simulator over a whole schedule of layer-0 pulses.
+        fault_model: Optional[FaultModel],
+        delays: DelayModel,
+        timer_policy: TimerPolicy,
+        adversary: Optional[ScheduledAdversary],
+        initial_states: str,
+        run_slack: float,
+        observer: Optional[object],
+        collect_firings: bool,
+    ) -> Tuple[HexNetwork, Optional[FaultModel]]:
+        """Build, seed and run one network over a ``(num_pulses, W)`` schedule.
 
-        ``initial_states`` (``"clean"`` / ``"random"`` / ``"adversarial"``)
-        overrides the legacy ``random_initial_states`` flag when given;
-        ``adversary`` installs a materialized fault schedule whose timed
-        actions mutate the fault model mid-run.
-
-        ``observer`` replaces the default :func:`repro.obs.des_observer` hook
-        with a caller-supplied network observer (duck-typed ``on_firing`` /
-        ``on_adversary``, optionally ``on_event``) that sees every firing as
-        it happens; ``repro.obs`` then records only the queue counters.
-        ``collect_firings=False`` additionally stops the network from
-        retaining firing records and skips building the per-node
-        ``firing_times`` dict on the result, so long soak epochs whose
-        observer already consumed the stream keep memory bounded.
+        Returns the network and the fault model describing the *end-of-run*
+        state: static runs report the caller's model unchanged; schedule-driven
+        runs report the network's live (mutated) model, normalised to ``None``
+        when every fault has healed -- the fault-free convention the analysis
+        layer expects.
         """
-        schedule = np.atleast_2d(np.asarray(source_schedule, dtype=float))
-        if schedule.shape[1] != grid.width:
-            raise ValueError(
-                f"source_schedule must have {grid.width} columns -- one per layer-0 "
-                f"clock source of this width-{grid.width} grid -- got shape "
-                f"{schedule.shape}; repro.clocksource.generator.generate_pulse_schedule "
-                "produces valid schedules"
-            )
-        if delays is None:
-            delays = FreshUniformDelays(timing, rng)
-        if initial_states is None:
-            initial_states = "random" if random_initial_states else "clean"
-
         network = HexNetwork(
             grid=grid,
             timing=timing,
@@ -422,39 +282,180 @@ class DesEngine:
         elif initial_states == "adversarial":
             network.apply_adversarial_initial_states()
         network.schedule_source_pulses(schedule)
-
+        # Byzantine stuck-at-1 links re-assert themselves forever, so the run
+        # must be bounded; by Lemma 5 every correct node that fires at all does
+        # so within (L + f) d+ of the last layer-0 firing -- plus the
+        # topology's lateral-trigger margin (0 on the cylinder).  A fault
+        # schedule's last action gets one full propagation afterwards too.
         num_faults = fault_model.num_faulty_nodes if fault_model is not None else 0
         propagation_hops = grid.layers + grid.condition2_extra_hops() + num_faults + 2
-        horizon = (
-            float(np.nanmax(schedule))
+        last_event = float(np.nanmax(schedule))
+        if adversary is not None:
+            last_event = max(last_event, adversary.last_time)
+        network.run(
+            until=last_event
             + propagation_hops * timing.d_max
             + timeouts.t_sleep_max
             + run_slack
         )
-        if adversary is not None:
-            horizon = max(
-                horizon,
-                adversary.last_time
-                + propagation_hops * timing.d_max
-                + timeouts.t_sleep_max
-                + run_slack,
-            )
-        network.run(until=horizon)
         obs.record_des_observer(
             None if custom_observer else network.observer,
             events_scheduled=network.queue.num_scheduled,
             events_processed=network.queue.num_processed,
         )
+        if adversary is None:
+            return network, fault_model
+        final = network.faults
+        if final.num_faulty_nodes == 0 and not final.faulty_links():
+            return network, None
+        return network, final
 
-        final_model = self._final_fault_model(network, fault_model, adversary)
+    @staticmethod
+    def _adversary_metrics(adversary: Optional[ScheduledAdversary]) -> Dict[str, float]:
+        """The result metrics of an installed fault schedule (none without one)."""
+        if adversary is None:
+            return {}
+        return {
+            "adversary_actions": float(adversary.num_actions),
+            "adversary_last_time": float(adversary.last_time),
+        }
+
+    def single_pulse(
+        self,
+        grid: HexGrid,
+        timing: TimingConfig,
+        layer0_times: Sequence[float],
+        *,
+        rng: np.random.Generator,
+        fault_model: Optional[FaultModel] = None,
+        delays: Optional[DelayModel] = None,
+        timeouts: Optional[TimeoutConfig] = None,
+        timer_policy: TimerPolicy = TimerPolicy.UNIFORM,
+        adversary: Optional[ScheduledAdversary] = None,
+        observer: Optional[object] = None,
+    ) -> RunResult:
+        """Propagate one pulse wave through the full state machines.
+
+        Starts from clean states; ``timeouts`` default to
+        :func:`single_pulse_default_timeouts` for the fault count and the
+        spread of ``layer0_times``.  ``observer`` replaces the default
+        :func:`repro.obs.des_observer` hook with a caller-supplied network
+        observer (duck-typed ``on_firing`` / ``on_adversary``, optionally
+        ``on_event``); the caller then owns whatever the observer accumulated
+        -- ``repro.obs`` records only the queue's ``des.events_scheduled`` /
+        ``des.events_processed`` counters.
+        """
+        layer0 = validate_layer0(grid, layer0_times)
+        if delays is None:
+            delays = UniformRandomDelays(timing, rng)
+        if timeouts is None:
+            num_faults = fault_model.num_faulty_nodes if fault_model is not None else 0
+            spread = float(np.nanmax(layer0) - np.nanmin(layer0)) if layer0.size else 0.0
+            timeouts = single_pulse_default_timeouts(
+                grid, timing, num_faults=num_faults, layer0_spread=spread
+            )
+        network, final_model = self._simulate(
+            grid,
+            timing,
+            timeouts,
+            layer0[np.newaxis, :],
+            rng=rng,
+            fault_model=fault_model,
+            delays=delays,
+            timer_policy=timer_policy,
+            adversary=adversary,
+            initial_states="clean",
+            run_slack=0.0,
+            observer=observer,
+            collect_firings=True,
+        )
+        correct_mask = (
+            final_model.correctness_mask()
+            if final_model is not None
+            else np.ones(grid.shape, dtype=bool)
+        )
+        correct_mask &= grid.presence_mask()
+        return RunResult(
+            engine=self.name,
+            kind="single_pulse",
+            grid=grid,
+            timing=timing,
+            trigger_times=network.first_firing_matrix(),
+            correct_mask=correct_mask,
+            layer0_times=layer0.copy(),
+            solution=None,
+            fault_model=final_model,
+            timeouts=timeouts,
+            metrics=self._adversary_metrics(adversary),
+        )
+
+    def multi_pulse(
+        self,
+        grid: HexGrid,
+        timing: TimingConfig,
+        timeouts: TimeoutConfig,
+        source_schedule: Union[np.ndarray, Sequence[Sequence[float]]],
+        *,
+        rng: np.random.Generator,
+        fault_model: Optional[FaultModel] = None,
+        delays: Optional[DelayModel] = None,
+        timer_policy: TimerPolicy = TimerPolicy.UNIFORM,
+        run_slack: float = 0.0,
+        adversary: Optional[ScheduledAdversary] = None,
+        initial_states: str = "random",
+        observer: Optional[object] = None,
+        collect_firings: bool = True,
+    ) -> RunResult:
+        """Run the simulator over a whole schedule of layer-0 pulses.
+
+        ``initial_states`` is ``"random"`` (the stabilization default),
+        ``"clean"`` or ``"adversarial"``; ``adversary`` installs a
+        materialized fault schedule whose timed actions mutate the fault
+        model mid-run.
+
+        ``observer`` replaces the default :func:`repro.obs.des_observer` hook
+        with a caller-supplied network observer (duck-typed ``on_firing`` /
+        ``on_adversary``, optionally ``on_event``) that sees every firing as
+        it happens; ``repro.obs`` then records only the queue counters.
+        ``collect_firings=False`` additionally stops the network from
+        retaining firing records and skips building the per-node
+        ``firing_times`` dict on the result, so long soak epochs whose
+        observer already consumed the stream keep memory bounded.
+        """
+        schedule = np.atleast_2d(np.asarray(source_schedule, dtype=float))
+        if schedule.shape[1] != grid.width:
+            raise ValueError(
+                f"source_schedule must have {grid.width} columns -- one per layer-0 "
+                f"clock source of this width-{grid.width} grid -- got shape "
+                f"{schedule.shape}; repro.clocksource.generator.generate_pulse_schedule "
+                "produces valid schedules"
+            )
+        if initial_states not in INITIAL_STATES:
+            raise ValueError(
+                f"unknown initial_states {initial_states!r}; expected one of {INITIAL_STATES}"
+            )
+        network, final_model = self._simulate(
+            grid,
+            timing,
+            timeouts,
+            schedule,
+            rng=rng,
+            fault_model=fault_model,
+            delays=delays if delays is not None else FreshUniformDelays(timing, rng),
+            timer_policy=timer_policy,
+            adversary=adversary,
+            initial_states=initial_states,
+            run_slack=run_slack,
+            observer=observer,
+            collect_firings=collect_firings,
+        )
         firing_times: Dict[NodeId, List[float]] = {}
         if collect_firings:
             for node in grid.nodes():
                 if final_model is not None and final_model.is_faulty(node):
                     continue
                 firing_times[node] = network.firing_times(node)
-
-        result = RunResult(
+        return RunResult(
             engine=self.name,
             kind="multi_pulse",
             grid=grid,
@@ -463,8 +464,5 @@ class DesEngine:
             source_schedule=schedule,
             firing_times=firing_times,
             fault_model=final_model,
+            metrics=self._adversary_metrics(adversary),
         )
-        if adversary is not None:
-            result.metrics["adversary_actions"] = float(adversary.num_actions)
-            result.metrics["adversary_last_time"] = float(adversary.last_time)
-        return result

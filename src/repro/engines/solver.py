@@ -124,13 +124,19 @@ class SolverEngine:
         timing: TimingConfig,
         layer0_times: Sequence[float],
         *,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator] = None,
         fault_model: Optional[FaultModel] = None,
         delays: Optional[DelayModel] = None,
     ) -> RunResult:
-        """Propagate one pulse wave with explicit inputs."""
+        """Propagate one pulse wave with explicit inputs.
+
+        ``rng`` is drawn from only to default ``delays`` to per-link uniform
+        draws; a caller passing its own delay model needs none.
+        """
         layer0 = validate_layer0(grid, layer0_times)
         if delays is None:
+            if rng is None:
+                raise ValueError("single_pulse needs a delay model or an rng to draw one")
             delays = UniformRandomDelays(timing, rng)
         solution = solve_single_pulse(grid, layer0, delays, fault_model=fault_model)
         _record_solver_work(solution)

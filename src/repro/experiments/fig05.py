@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.core.bounds import lemma4_intra_layer_bound, skew_potential
 from repro.core.parameters import TimingConfig
-from repro.core.pulse_solver import PulseSolution, solve_single_pulse
+from repro.core.pulse_solver import PulseSolution
 from repro.core.worstcase import WorstCaseConstruction, fig5_worst_case_wave
+from repro.engines import get_engine
 from repro.experiments.report import format_kv
 
 __all__ = ["Fig5Result", "run"]
@@ -68,12 +69,13 @@ def run(timing: Optional[TimingConfig] = None, layers: int = 16) -> Fig5Result:
     """Build and evaluate the Fig. 5 worst-case construction."""
     timing = timing if timing is not None else TimingConfig.paper_defaults()
     construction = fig5_worst_case_wave(timing, layers=layers)
-    solution = solve_single_pulse(
+    solution = get_engine("solver").single_pulse(
         construction.grid,
+        timing,
         construction.layer0_times,
-        construction.delays,
+        delays=construction.delays,
         fault_model=construction.fault_model,
-    )
+    ).solution
     left, right = construction.focus_columns  # type: ignore[misc]
     top = construction.grid.layers
     focus_skew = abs(

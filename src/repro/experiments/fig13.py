@@ -17,12 +17,12 @@ import numpy as np
 from repro.analysis.locality import skew_vs_distance
 from repro.analysis.skew import SkewStatistics
 from repro.clocksource.scenarios import Scenario, scenario_layer0_times
-from repro.core.pulse_solver import PulseSolution, solve_single_pulse
+from repro.core.pulse_solver import PulseSolution
 from repro.core.topology import Direction, NodeId
+from repro.engines import get_engine
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_kv
 from repro.faults.models import FaultModel, LinkBehavior, NodeFault
-from repro.simulation.links import UniformRandomDelays
 
 __all__ = ["Fig13Result", "run", "FAULT_NODE", "SCENARIO"]
 
@@ -88,8 +88,9 @@ def run(
     )
 
     layer0 = scenario_layer0_times(SCENARIO, grid.width, config.timing, rng=rng)
-    delays = UniformRandomDelays(config.timing, rng)
-    solution = solve_single_pulse(grid, layer0, delays, fault_model=fault_model)
+    solution = get_engine("solver").single_pulse(
+        grid, config.timing, layer0, rng=rng, fault_model=fault_model
+    ).solution
     profile = skew_vs_distance(grid, solution.trigger_times, fault_model, max_distance=5)
     return Fig13Result(
         config=config, solution=solution, fault_model=fault_model, skew_profile=profile

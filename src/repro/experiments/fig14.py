@@ -15,13 +15,13 @@ import numpy as np
 from repro.analysis.locality import skew_vs_distance
 from repro.analysis.skew import SkewStatistics
 from repro.clocksource.scenarios import Scenario, scenario_layer0_times
-from repro.core.pulse_solver import PulseSolution, solve_single_pulse
+from repro.core.pulse_solver import PulseSolution
 from repro.core.topology import NodeId
+from repro.engines import get_engine
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_kv
 from repro.faults.models import FaultModel, NodeFault
 from repro.faults.placement import place_faults
-from repro.simulation.links import UniformRandomDelays
 
 __all__ = ["Fig14Result", "run", "NUM_FAULTS", "SCENARIO"]
 
@@ -83,8 +83,9 @@ def run(
         grid, [NodeFault.byzantine(grid, node, rng=rng) for node in positions]
     )
     layer0 = scenario_layer0_times(SCENARIO, grid.width, config.timing, rng=rng)
-    delays = UniformRandomDelays(config.timing, rng)
-    solution = solve_single_pulse(grid, layer0, delays, fault_model=fault_model)
+    solution = get_engine("solver").single_pulse(
+        grid, config.timing, layer0, rng=rng, fault_model=fault_model
+    ).solution
     profile = skew_vs_distance(grid, solution.trigger_times, fault_model, max_distance=5)
     return Fig14Result(
         config=config, solution=solution, fault_model=fault_model, skew_profile=profile

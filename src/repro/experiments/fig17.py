@@ -18,8 +18,9 @@ import numpy as np
 
 from repro.analysis.skew import inter_layer_skews, intra_layer_skews
 from repro.core.parameters import TimingConfig
-from repro.core.pulse_solver import PulseSolution, solve_single_pulse
+from repro.core.pulse_solver import PulseSolution
 from repro.core.worstcase import WorstCaseConstruction, fig17_single_byzantine_worst_case
+from repro.engines import get_engine
 from repro.experiments.report import format_kv
 
 __all__ = ["Fig17Result", "run"]
@@ -59,17 +60,16 @@ def run(timing: Optional[TimingConfig] = None) -> Fig17Result:
     construction = fig17_single_byzantine_worst_case(timing)
     grid = construction.grid
 
-    with_fault = solve_single_pulse(
-        grid,
-        construction.layer0_times,
-        construction.delays,
-        fault_model=construction.fault_model,
-    )
-    without_fault = solve_single_pulse(
-        grid,
-        construction.layer0_times,
-        construction.delays,
-        fault_model=construction.reference_fault_model,
+    solver = get_engine("solver")
+    with_fault, without_fault = (
+        solver.single_pulse(
+            grid,
+            timing,
+            construction.layer0_times,
+            delays=construction.delays,
+            fault_model=fault_model,
+        ).solution
+        for fault_model in (construction.fault_model, construction.reference_fault_model)
     )
 
     # Restrict the measurement to a window of columns around the fault: the

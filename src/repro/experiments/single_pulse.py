@@ -29,7 +29,6 @@ from repro.clocksource.scenarios import Scenario, parse_scenario
 from repro.core.topology import HexGrid, NodeId
 from repro.experiments.config import ExperimentConfig
 from repro.faults.models import FaultModel, FaultType
-from repro.faults.placement import build_fault_model
 from repro.simulation.network import TimerPolicy
 from repro.topologies import build_topology, topology_column_wrap
 
@@ -101,21 +100,6 @@ class RunSetResult:
         )
 
 
-def _build_fault_model(
-    grid: HexGrid,
-    num_faults: int,
-    fault_type: Optional[FaultType],
-    rng: np.random.Generator,
-    fixed_positions: Optional[Sequence[NodeId]] = None,
-) -> Optional[FaultModel]:
-    """Place and parameterise the faults of one run.
-
-    Retained as a thin alias of :func:`repro.faults.placement.build_fault_model`
-    (the logic moved there so the campaign executor can share it).
-    """
-    return build_fault_model(grid, num_faults, fault_type, rng, fixed_positions)
-
-
 def scenario_set_spec(
     config: ExperimentConfig,
     scenario: Union[Scenario, str],
@@ -132,7 +116,7 @@ def scenario_set_spec(
     """The one-cell campaign spec equivalent of a :func:`run_scenario_set` call."""
     scenario_value = parse_scenario(scenario)
     # fault_type=None means "inject nothing" regardless of num_faults -- the
-    # historical _build_fault_model contract -- so the cell must be fault-free.
+    # historical build_fault_model contract -- so the cell must be fault-free.
     cell = SweepSpec(
         layers=config.layers,
         width=config.width,

@@ -28,7 +28,7 @@ from repro.campaign.store import CampaignStore
 from repro.core.parameters import TimingConfig
 from repro.core.topology import HexGrid
 from repro.engines import RunSpec, get_engine
-from repro.engines.des import scenario_stabilization_timeouts
+from repro.engines.des import scenario_stabilization_timeouts, single_pulse_default_timeouts
 from repro.experiments import recovery
 from repro.faults.models import FaultModel, FaultType, LinkBehavior, NodeFault
 from repro.faults.placement import check_condition1
@@ -416,6 +416,17 @@ class TestInitialStates:
             RunSpec(kind="single_pulse", initial_states="adversarial")
         with pytest.raises(ValueError, match="initial_states"):
             RunSpec(kind="multi_pulse", initial_states="chaotic")
+
+    def test_engine_rejects_unknown_initial_states(self, grid, timing):
+        with pytest.raises(ValueError, match="unknown initial_states 'randm'"):
+            get_engine("des").multi_pulse(
+                grid,
+                timing,
+                single_pulse_default_timeouts(grid, timing),
+                np.zeros((1, grid.width)),
+                rng=np.random.default_rng(1),
+                initial_states="randm",
+            )
 
 
 # ----------------------------------------------------------------------

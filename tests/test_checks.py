@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -231,6 +232,32 @@ class TestLayering:
             if target == "repro.engines" or target.startswith("repro.engines.")
         ]
         assert upward == []
+
+    def test_only_engines_run_the_kernels(self):
+        """Simulations run through an engine, never around it.
+
+        Outside ``repro.engines`` (and the ``repro`` / ``repro.core`` facades
+        that re-export it), no module imports ``solve_single_pulse`` or
+        constructs a ``HexNetwork``: those are the solver's and the DES
+        engine's kernels, reached through ``get_engine(...)``.
+        """
+        from repro.checks.registry import default_root
+
+        bypasses = []
+        for module in scan_package(default_root()):
+            if package_of(module.module) == "engines" or module.module in ("repro", "repro.core"):
+                continue
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "solve_single_pulse" for alias in node.names
+                ):
+                    bypasses.append((module.module, node.lineno, "solve_single_pulse"))
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "HexNetwork":
+                        bypasses.append((module.module, node.lineno, "HexNetwork("))
+        assert bypasses == []
 
 
 # ----------------------------------------------------------------------

@@ -269,7 +269,7 @@ class TestQuorumSynchronizerUnderTransientFaults:
             schedule,  # nan entries (Byzantine sources) are skipped by the network
             rng=run_rng,
             fault_model=fault_model,
-            random_initial_states=False,
+            initial_states="clean",
             adversary=adversary,
         )
 

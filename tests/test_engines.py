@@ -28,7 +28,7 @@ from repro.engines import (
 from repro.engines.array import delay_envelope
 from repro.engines.base import batch_key, require_exactness
 from repro.faults.placement import build_fault_model
-from repro.simulation.links import UniformRandomDelays
+from repro.simulation.links import ConstantDelays, UniformRandomDelays
 
 
 @pytest.fixture
@@ -768,6 +768,15 @@ class TestErrorsAndCli:
             message = str(excinfo.value)
             assert "(7,)" in message
             assert "scenario_layer0_times" in message
+
+    def test_solver_single_pulse_needs_delays_or_rng(self, timing):
+        grid = HexGrid(layers=4, width=7)
+        solver = get_engine("solver")
+        with pytest.raises(ValueError, match="delay model or an rng"):
+            solver.single_pulse(grid, timing, np.zeros(7))
+        delays = ConstantDelays(timing.d_max)
+        result = solver.single_pulse(grid, timing, np.zeros(7), delays=delays)
+        assert result.trigger_time((4, 0)) == pytest.approx(4 * timing.d_max)
 
     def test_cli_engines_lists_backends(self, capsys):
         assert main(["engines"]) == 0

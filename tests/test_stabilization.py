@@ -194,7 +194,7 @@ class TestEndToEndStabilization:
         )
         result = get_engine("des").multi_pulse(
             grid, timing, timeouts, schedule, rng=np.random.default_rng(11),
-            random_initial_states=True,
+            initial_states="random",
         )
         estimate = stabilization_time(
             result, intra_bound=lambda layer: 3 * timing.d_max
