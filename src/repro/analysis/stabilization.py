@@ -208,7 +208,6 @@ def pulse_ok_flags(
     result,
     intra_bound: Callable[[int], float],
     inter_bound: Optional[Callable[[int], float]] = None,
-    assignment: Optional[PulseAssignment] = None,
 ) -> np.ndarray:
     """Per-pulse flags of a multi-pulse run: :func:`pulse_skew_ok` of each pulse.
 
@@ -222,8 +221,6 @@ def pulse_ok_flags(
     inter_bound:
         The per-layer inter-layer bound ``sigma-hat(f, l)``; defaults to
         ``sigma(f, l) + d+`` per Theorem 1's inter-layer relation.
-    assignment:
-        Re-use a precomputed :func:`assign_pulses` result.
     """
     if inter_bound is None:
         d_max = result.timing.d_max
@@ -231,8 +228,7 @@ def pulse_ok_flags(
         def inter_bound(layer: int, _d_max: float = d_max) -> float:  # type: ignore[misc]
             return intra_bound(layer) + _d_max
 
-    if assignment is None:
-        assignment = assign_pulses(result)
+    assignment = assign_pulses(result)
     grid = result.grid
     correct_mask = (
         result.fault_model.correctness_mask()
@@ -261,7 +257,6 @@ def stabilization_time(
     result,
     intra_bound: Callable[[int], float],
     inter_bound: Optional[Callable[[int], float]] = None,
-    assignment: Optional[PulseAssignment] = None,
 ) -> Optional[int]:
     """Estimate the stabilization time of a multi-pulse run.
 
@@ -271,7 +266,7 @@ def stabilization_time(
     pulses.  A return value of 1 means the system was within bounds from the
     very first pulse, matching the paper's reading of Figs. 18/19.
     """
-    ok = pulse_ok_flags(result, intra_bound, inter_bound, assignment)
+    ok = pulse_ok_flags(result, intra_bound, inter_bound)
     # The stabilization time is the first pulse after the last violating pulse.
     violations = np.where(~ok)[0]
     if violations.size == 0:
